@@ -375,11 +375,21 @@ def _nth_root(value: Element, n: int, field: Field) -> Optional[Element]:
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == m:
-            return cand
-    return None
+    """The integer r >= 0 with r**n == m >= 0, or None; exact at any size."""
+    if m < 2:
+        return m
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        # Integer Newton from above: r starts at 2**ceil(bits/n) > m**(1/n)
+        # and decreases to the floor of the root.
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            y = ((n - 1) * r + m // r ** (n - 1)) // n
+            if y >= r:
+                break
+            r = y
+    return r if r**n == m else None
 
 
 def point_from_polynomial(coeffs: Sequence, field: Field) -> ExtendedPoint:

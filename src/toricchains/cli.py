@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal invariant violation.  Every subcommand accepts ``--json``; the
 default output is a short human-readable rendering of the same data.
-A ``--threads`` flag caps internal parallelism (the implementation is
-sequential, so results never depend on it).
 """
 
 from __future__ import annotations
@@ -393,7 +391,6 @@ def _add_fan_source(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="toricchains", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap (results are independent of it)")
     sub = parser.add_subparsers(dest="group", required=True)
 
     fan = sub.add_parser("fan").add_subparsers(dest="cmd", required=True)

@@ -94,27 +94,8 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        _, pivots, d, sign = bareiss(self.to_rows(), self.cols)
+        return sign * d if len(pivots) == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -440,6 +421,43 @@ def solve_mod(A: IntMatrix, b: Sequence[int], modulus: int) -> Optional[List[int
     return [xi % modulus for xi in x]
 
 
+def bareiss(
+    rows: Sequence[Sequence[int]], width: int
+) -> Tuple[List[List[int]], List[int], int, int]:
+    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination on the first
+    ``width`` columns of an integer matrix; later columns ride along.
+
+    Returns ``(m, pivots, d, sign)``.  Row ``i < len(pivots)`` of ``m`` has
+    its pivot in column ``pivots[i]``; every pivot entry equals ``d`` and the
+    rest of each pivot column is zero; rows from ``len(pivots)`` on vanish on
+    the first ``width`` columns, so ``len(pivots)`` is the rank.  ``sign`` is
+    the parity of the row swaps.  Every division is exact because each entry
+    stays a minor of the input.  On ``[A | I]`` with ``A`` square and
+    invertible this ends with ``d = sign * det(A)`` and the right block equal
+    to ``sign * adj(A)``, that is ``d * A^-1``.
+    """
+    m = [list(r) for r in rows]
+    pivots: List[int] = []
+    d = sign = 1
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
+        d = piv
+        pivots.append(c)
+    return m, pivots, d, sign
+
+
 def solve_rational(
     rows: Sequence[Sequence[int]], b: Sequence
 ) -> Optional[List[Fraction]]:
@@ -448,49 +466,26 @@ def solve_rational(
     Returns one solution, or None if inconsistent.  When the columns are
     linearly independent the solution is unique.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, b)]
-    nrows = len(m)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
+    ncols = len(rows[0]) if rows else 0
+    b = [Fraction(y) for y in b]
+    scale = math.lcm(*(y.denominator for y in b))
+    m, pivots, d, _ = bareiss(
+        [list(row) + [int(y * scale)] for row, y in zip(rows, b)], ncols
+    )
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[ncols], d * scale)
     return x
 
 
 def invert_rational(rows: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Exact inverse of a square integer matrix over Q."""
+    """Exact inverse of a square integer matrix over Q: adj(A) / det(A)."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        m[c], m[pr] = m[pr], m[c]
-        piv = m[c][c]
-        m[c] = [x / piv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    m, pivots, d, _ = bareiss(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n
+    )
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, d) for x in row[n:]] for row in m]

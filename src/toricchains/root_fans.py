@@ -5,9 +5,8 @@ generator per ray, encoded by the matrix whose columns are the ray
 generators.  The main constructions are the rank-n fans with 2n rays built
 from the block matrix (-C | I_n), C a Cartan matrix, and the permutohedral
 fan of the Losev-Manin space.  Everything is exact; validity checks
-(simplicial, pure, wall condition, sampled completeness) are performed with
-rational arithmetic, with an optional numpy fast path whose findings are
-always re-verified exactly.
+(simplicial, pure, wall condition, completeness) are integer certificates
+read off one fraction-free elimination per maximal cone.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,16 +21,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact_linalg import (
     FinDiagGroupDesc,
     IntMatrix,
+    bareiss,
     cokernel,
     invert_rational,
     snf,
     solve_rational,
 )
-
-try:  # numpy accelerates the completeness sampling; results are re-verified
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 FAMILY_TAGS = ("A", "B", "Bcan", "C", "Cminus", "SigmaA")
 
@@ -307,102 +301,33 @@ def infer_family(fan: StackyFan) -> Optional[FanFamily]:
 # ---------------------------------------------------------------------------
 
 
-def _rank_of_vectors(vectors: Sequence[Sequence[int]]) -> int:
-    m = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][c]
-        m[rank] = [x / piv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def cone_contains(fan: StackyFan, cone: Sequence[int], vector: Sequence[int]) -> bool:
     """Exact membership of an integer vector in the cone spanned by the
     given rays (which must be linearly independent)."""
-    rays = [fan.rays[i] for i in cone]
-    rows = [[rays[j][i] for j in range(len(rays))] for i in range(fan.rank)]
+    rows = [[fan.rays[j][i] for j in cone] for i in range(fan.rank)]
     sol = solve_rational(rows, list(vector))
-    if sol is None:
-        return False
-    # With independent generators the solution is unique; verify and sign-check.
-    for i in range(fan.rank):
-        if sum(Fraction(rows[i][j]) * sol[j] for j in range(len(rays))) != vector[i]:
-            return False
-    return all(x >= 0 for x in sol)
+    return sol is not None and all(x >= 0 for x in sol)
 
 
-class _ConeTester:
-    """Precomputed signed adjugates for fast exact membership in the
-    full-dimensional simplicial cones of a fan."""
-
-    def __init__(self, fan: StackyFan):
-        self.fan = fan
-        self.full: List[Tuple[Tuple[int, ...], List[List[int]]]] = []
-        self.partial: List[Tuple[int, ...]] = []
-        for cone in fan.max_cones:
-            if len(cone) != fan.rank:
-                self.partial.append(tuple(cone))
-                continue
-            rows = [[fan.rays[j][i] for j in cone] for i in range(fan.rank)]
-            mat = IntMatrix.from_rows(rows)
-            det = mat.det()
-            if det == 0:
-                self.partial.append(tuple(cone))
-                continue
-            inv = invert_rational(rows)
-            sign = 1 if det > 0 else -1
-            adj = []
-            for r in inv:
-                adj_row = [x * det * sign for x in r]
-                assert all(x.denominator == 1 for x in adj_row)
-                adj.append([int(x) for x in adj_row])
-            self.full.append((tuple(cone), adj))
-        self._np_stack = None
-        if _np is not None and self.full:
-            bound = max(
-                (abs(x) for _, adj in self.full for row in adj for x in row),
-                default=0,
-            )
-            # Keep int64 products safely below 2^62 for samples up to |x|<=99.
-            if bound * 99 * max(fan.rank, 1) < 2**60:
-                self._np_stack = _np.array(
-                    [adj for _, adj in self.full], dtype=_np.int64
-                )
-
-    def find_cone(self, vector: Sequence[int]) -> Optional[Tuple[int, ...]]:
-        if self._np_stack is not None:
-            x = _np.array(list(vector), dtype=_np.int64)
-            prods = self._np_stack @ x
-            hits = _np.nonzero((prods >= 0).all(axis=1))[0]
-            for h in hits:
-                cone, adj = self.full[int(h)]
-                if all(
-                    sum(a * v for a, v in zip(row, vector)) >= 0 for row in adj
-                ):
-                    return cone
-        else:
-            for cone, adj in self.full:
-                ok = True
-                for row in adj:
-                    if sum(a * v for a, v in zip(row, vector)) < 0:
-                        ok = False
-                        break
-                if ok:
-                    return cone
-        for cone in self.partial:
-            if cone_contains(self.fan, cone, vector):
-                return cone
+def _facet_functionals(fan: StackyFan, cone: Sequence[int]) -> Optional[List[List[int]]]:
+    """For a full-dimensional simplicial cone, the rows of |det| * B^-1, B
+    the matrix with the cone's rays as columns: row i vanishes on every ray
+    but the i-th and is positive on that one, so the cone is the set where
+    all rows are >= 0.  None when the rays are dependent; ``[]`` when they
+    are independent but too few to span."""
+    k = len(cone)
+    rows = [[fan.rays[j][i] for j in cone] + [int(i == c) for c in range(fan.rank)]
+            for i in range(fan.rank)]
+    m, pivots, d, _ = bareiss(rows, k)
+    if len(pivots) < k:
         return None
+    if k < fan.rank:
+        return []
+    return [[x if d > 0 else -x for x in row[k:]] for row in m]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -415,63 +340,61 @@ class FanReport:
     simplicial: bool
     pure: bool
     wall_condition: bool
-    sampled_complete: bool
+    complete: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.simplicial and self.pure and self.wall_condition and self.sampled_complete
+        return self.simplicial and self.pure and self.wall_condition and self.complete
 
     def to_dict(self) -> dict:
         return {
             "simplicial": self.simplicial,
             "pure": self.pure,
             "wall_condition": self.wall_condition,
-            "sampled_complete": self.sampled_complete,
+            "complete": self.complete,
         }
 
 
-_SAMPLE_SEED = 20260331
-_SAMPLE_COUNT = 1000
+def check_fan(fan: StackyFan) -> FanReport:
+    """Exact certificate that the maximal cones form a complete simplicial fan.
 
-
-def check_fan(fan: StackyFan, samples: int = _SAMPLE_COUNT) -> FanReport:
-    """Structural validation: simplicial, pure, interior walls shared by
-    exactly two maximal cones, and deterministic sampled completeness."""
-    simplicial = all(
-        _rank_of_vectors([fan.rays[i] for i in cone]) == len(cone)
-        for cone in fan.max_cones
-    )
+    ``simplicial``: every cone has independent rays.  ``pure``: every cone
+    has ``rank`` rays.  ``wall_condition``: both hold, and every facet lies
+    in exactly two maximal cones whose remaining rays lie strictly on
+    opposite sides of it.  Then the number of cones containing a point is
+    the same for every point on no facet hyperplane.  ``complete``: the wall
+    condition holds and that number is one, so the cones cover space once
+    and form a complete fan.
+    """
+    functionals = {cone: _facet_functionals(fan, cone) for cone in fan.max_cones}
+    simplicial = all(f is not None for f in functionals.values())
     pure = all(len(cone) == fan.rank for cone in fan.max_cones)
 
-    wall = True
-    cone_sets = {frozenset(c) for c in fan.max_cones}
-    if pure and simplicial:
-        for cone in fan.max_cones:
-            for drop in cone:
-                facet = frozenset(cone) - {drop}
-                count = 0
-                for r in range(fan.num_rays):
-                    if r not in facet and (facet | {r}) in cone_sets:
-                        count += 1
-                if count != 2:
-                    wall = False
-                    break
-            if not wall:
-                break
-    else:
-        wall = False
+    walls: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], int]]] = {}
+    for cone in fan.max_cones:
+        for pos in range(len(cone)):
+            walls.setdefault(cone[:pos] + cone[pos + 1 :], []).append((cone, pos))
 
-    complete = True
-    if simplicial:
-        tester = _ConeTester(fan)
-        rng = random.Random(_SAMPLE_SEED)
-        for _ in range(samples):
-            x = [rng.randint(-99, 99) for _ in range(fan.rank)]
-            if tester.find_cone(x) is None:
-                complete = False
-                break
-    else:
-        complete = False
+    def opposite(sides) -> bool:
+        # The first cone's functional for its ray off the facet must be
+        # negative on the second cone's ray off the facet.
+        (c1, i1), (c2, i2) = sides
+        return _dot(functionals[c1][i1], fan.rays[c2[i2]]) < 0
+
+    wall = pure and simplicial and all(
+        len(sides) == 2 and opposite(sides) for sides in walls.values()
+    )
+
+    complete = False
+    if wall:
+        # A facet functional u is nonzero, so sum(u_i * M**i) is a nonzero
+        # integer polynomial in M; by Cauchy's bound its roots have absolute
+        # value below 1 + max|u_i|.  So x = (1, M, M**2, ...) with M one past
+        # every |u_i| lies on no facet hyperplane.
+        M = 1 + max((abs(a) for us in functionals.values() for u in us for a in u), default=0)
+        x = [M**i for i in range(fan.rank)]
+        inside = sum(all(_dot(u, x) > 0 for u in us) for us in functionals.values())
+        complete = inside == 1
     return FanReport(simplicial, pure, wall, complete)
 
 

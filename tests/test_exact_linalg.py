@@ -1,10 +1,13 @@
 """Normal forms, kernels and cokernels: examples plus randomized properties.
 
-Smith invariant factors are cross-checked against sympy's implementation,
-which serves as the independent oracle for the hand-rolled pivoting code.
+Smith invariant factors, and the determinant, rank, adjugate and rational
+solutions of the fraction-free elimination, are cross-checked against
+sympy's implementation, which serves as the independent oracle for the
+hand-rolled pivoting code.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,15 @@ from hypothesis import strategies as st
 from toricchains.exact_linalg import (
     FinDiagGroupDesc,
     IntMatrix,
+    bareiss,
     cokernel,
     hnf,
+    invert_rational,
     kernel_basis,
     snf,
     solve_integer,
     solve_mod,
+    solve_rational,
 )
 
 
@@ -41,6 +47,12 @@ small_matrices = st.integers(1, 6).flatmap(
             min_size=r,
             max_size=r,
         )
+    )
+)
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
 
@@ -239,6 +251,73 @@ class TestSolvers:
             solm = solve_mod(a, [v % mod for v in b], mod)
             assert solm is not None
             assert [v % mod for v in a.mul_vector(solm)] == [v % mod for v in b]
+
+
+class TestBareiss:
+    """The one fraction-free elimination behind det, rank, inverse and solve."""
+
+    @given(small_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_det_and_rank_against_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        theirs = sympy.Matrix(rows)
+        _, pivots, _, _ = bareiss(rows, len(rows[0]))
+        assert len(pivots) == theirs.rank()
+        if theirs.is_square:
+            assert _mat(rows).det() == int(theirs.det())
+
+    @given(square_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_adjugate_against_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        n = len(rows)
+        det = _mat(rows).det()
+        if det == 0:
+            with pytest.raises(ValueError):
+                invert_rational(rows)
+            return
+        adj = [[x * det for x in row] for row in invert_rational(rows)]
+        assert all(x.denominator == 1 for row in adj for x in row)
+        assert sympy.Matrix(adj) == sympy.Matrix(rows).adjugate()
+        prod = [[sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert prod == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+    @given(small_matrices, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_solve_rational_against_sympy(self, rows, data):
+        sympy = pytest.importorskip("sympy")
+        r, c = len(rows), len(rows[0])
+        if data.draw(st.booleans()):
+            # Consistent by construction, rank-deficient or not.
+            x = data.draw(st.lists(st.integers(-5, 5), min_size=c, max_size=c))
+            b = _mat(rows).mul_vector(x)
+        else:
+            b = data.draw(st.lists(st.integers(-9, 9), min_size=r, max_size=r))
+        den = data.draw(st.integers(1, 4))
+        b = [Fraction(y, den) for y in b]
+        a = sympy.Matrix(rows)
+        consistent = a.rank() == a.row_join(sympy.Matrix(b)).rank()
+        sol = solve_rational(rows, b)
+        assert (sol is not None) == consistent
+        if sol is not None:
+            assert [sum(v * s for v, s in zip(row, sol)) for row in rows] == b
+
+    def test_solve_rational_examples(self):
+        # rank-deficient but consistent: free variables are set to zero
+        assert solve_rational([[1, 2], [2, 4]], [3, 6]) == [3, 0]
+        assert solve_rational([[1, 2], [2, 4]], [3, 5]) is None
+        assert solve_rational([[2, 0], [0, 3]], [1, Fraction(1, 2)]) == [
+            Fraction(1, 2),
+            Fraction(1, 6),
+        ]
+
+    def test_adjugate_block(self):
+        # [A | I] ends as (sign * det) I | sign * adj(A)
+        m, pivots, d, sign = bareiss([[0, 1, 1, 0], [2, 3, 0, 1]], 2)
+        assert pivots == [0, 1] and sign == -1 and d == 2
+        assert [row[:2] for row in m] == [[2, 0], [0, 2]]
+        assert [[sign * x for x in row[2:]] for row in m] == [[3, -1], [-2, 0]]
 
 
 def test_matrix_json_round_trip():

@@ -128,9 +128,54 @@ class TestBuildUpsilon:
         report = check_fan(broken)
         assert not report.wall_condition
 
+    def test_every_one_cone_drop_is_incomplete(self):
+        for fan in (
+            build_upsilon(FanFamily("A", 6)),
+            build_upsilon(FanFamily("C", 6)),
+            build_sigma_A(5),
+        ):
+            for k in range(len(fan.max_cones)):
+                cones = fan.max_cones[:k] + fan.max_cones[k + 1 :]
+                report = check_fan(StackyFan(fan.rank, fan.rays, fan.ray_labels, cones))
+                assert not report.complete and not report.all_ok, (fan.family, k)
+
+    def test_double_cover_is_rejected(self):
+        # Every wall lies in two cones, on opposite sides, yet every point
+        # lies in two cones.
+        report = check_fan(_double_cover())
+        assert report.wall_condition
+        assert not report.complete and not report.all_ok
+
+    def test_fold_is_rejected(self):
+        # The cones (0,-1)(-1,0) and (0,-1)(-1,-1) lie on the same side of
+        # their common wall, while the point the certificate samples lies in
+        # one cone only.
+        report = check_fan(_fold())
+        assert not report.wall_condition and not report.all_ok
+
     def test_pairwise_face_intersections(self):
+        # check_fan agrees with the Fourier-Motzkin face oracle.
         for tag, n in (("A", 2), ("A", 3), ("B", 2), ("Bcan", 2), ("C", 2), ("C", 3)):
-            assert cones_pairwise_faces(build_upsilon(FanFamily(tag, n))), (tag, n)
+            fan = build_upsilon(FanFamily(tag, n))
+            assert cones_pairwise_faces(fan) and check_fan(fan).all_ok, (tag, n)
+        for fan in (_double_cover(), _fold()):
+            assert not cones_pairwise_faces(fan) and not check_fan(fan).all_ok
+
+
+def _double_cover():
+    """Eight rays at 45 degrees, cones {i, i+2 mod 8}: the plane twice."""
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+    cones = tuple(sorted(tuple(sorted((i, (i + 2) % 8))) for i in range(8)))
+    return StackyFan(2, rays, tuple(f"r{i}" for i in range(8)), cones)
+
+
+def _fold():
+    """A cycle of five 2-cones turning through 0, 90, 180, 270, 225 and 360
+    degrees: every ray lies in two cones, and the wedge from 225 to 270
+    degrees is covered three times."""
+    rays = ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1))
+    cones = ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+    return StackyFan(2, rays, tuple("abcdf"), cones)
 
 
 class TestSigmaFan:
