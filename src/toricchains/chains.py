@@ -30,7 +30,7 @@ from .orbit_points import (
 )
 from .root_fans import FanFamily, build_upsilon
 
-_ROOT_SCAN_BOUND = 100_000
+_ROOT_FIELD_BOUND = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def unit_root_multiplicities(
     c: Sequence[Element], field: PrimeField
 ) -> Dict[int, int]:
     """Multiplicities of all roots in F_p^*, by exhaustive scan and division."""
-    if field.p > _ROOT_SCAN_BOUND:
+    if field.p > _ROOT_FIELD_BOUND:
         raise ValueError("root scan guard exceeded")
     out: Dict[int, int] = {}
     cur = poly_trim(c, field)
@@ -357,7 +357,7 @@ def _nth_root(value: Element, n: int, field: Field) -> Optional[Element]:
     if field.is_zero(value):
         return None
     if isinstance(field, PrimeField):
-        if field.p > _ROOT_SCAN_BOUND:
+        if field.p > _ROOT_FIELD_BOUND:
             raise ValueError("root scan guard exceeded")
         for r in range(1, field.p):
             if field.pow(r, n) == value:

@@ -3,16 +3,28 @@
 A point is one field element per ray, subject to the nondegeneracy condition
 that the zero coordinates fit inside a single cone.  The acting split torus
 multiplies coordinate r by the character prod_k kappa_k^(W[k][r]) where W is
-the fan's weight matrix.  Orbit membership, canonical orbit representatives
-over prime fields, stabilizer group schemes and coarse point counts are all
+the fan's weight matrix.  Orbit membership and stabilizer group schemes are
 computed exactly through integer linear algebra: discrete logarithms reduce
 multiplicative questions over F_p to linear systems mod p-1, and prime
 factorization plus a sign system does the same over Q.
+
+Over F_p the nondegenerate points split into strata, one per cone: the
+stratum of a face is the set of points whose zero set is that face, and its
+support S is the complement (the orbit-cone correspondence, Cox-Little-
+Schenck, *Toric Varieties*, 3.2).  Discrete logs identify the stratum with
+(Z/(p-1))^S, on which the torus acts by translation through the weight
+columns W_S.  The orbits are the cosets of the lattice L_S spanned by the
+rows of W_S mod p-1 and by (p-1) Z^S.  One Hermite normal form gives an
+upper-triangular basis of L_S whose pivots d_i divide p-1; it yields the
+canonical representative of every orbit on the stratum (one greedy pass,
+see :func:`canonical_form`) and the stratum's orbit count prod_i d_i, so
+enumeration costs time in proportion to the number of orbits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +34,7 @@ from .exact_linalg import (
     FinDiagGroupDesc,
     IntMatrix,
     cokernel,
+    hnf,
     solve_integer,
     solve_mod,
 )
@@ -29,8 +42,7 @@ from .fields import Element, Field, PrimeField, RationalField
 from .root_fans import StackyFan, check_fan, fan_faces, weight_matrix
 
 _DLOG_TABLE_BOUND = 200_003
-_SCAN_BOUND = 200_000
-_ENUM_BOUND = 10**8
+_ORBIT_COUNT_BOUND = 10**5
 
 
 @dataclass(frozen=True)
@@ -97,16 +109,16 @@ def act(g: GroupElement, p: FanPoint) -> FanPoint:
     if len(g.units) != w.rows:
         raise ValueError("group element has wrong number of units")
     f = p.field
-    for u in g.units:
-        if f.is_zero(u):
-            raise ValueError("group element units must be invertible")
+    units = [f.of(u) for u in g.units]
+    if any(f.is_zero(u) for u in units):
+        raise ValueError("group element units must be invertible")
     new = []
     for r, c in enumerate(p.coords):
         v = c
         for k in range(w.rows):
             e = w[k, r]
             if e:
-                v = f.mul(v, f.pow(g.units[k], e))
+                v = f.mul(v, f.pow(units[k], e))
         new.append(v)
     return FanPoint(p.fan, f, tuple(new))
 
@@ -252,8 +264,8 @@ def _support_system(p: FanPoint, q: FanPoint):
     return rows, targets
 
 
-def orbit_equal(p: FanPoint, q: FanPoint) -> bool:
-    """Decide whether two nondegenerate points lie in the same torus orbit."""
+def orbit_witness(p: FanPoint, q: FanPoint) -> Optional[GroupElement]:
+    """A group element carrying p to q, or None when their orbits differ."""
     if p.fan != q.fan:
         raise ValueError("points live on different fans")
     if p.field != q.field:
@@ -262,20 +274,17 @@ def orbit_equal(p: FanPoint, q: FanPoint) -> bool:
         if not is_nondegenerate(pt.fan, pt.coords, pt.field):
             raise ValueError("orbit comparison requires nondegenerate points")
     if p.support() != q.support():
-        return False
-    rows, targets = _support_system(p, q)
-    return solve_units(rows, targets, p.field) is not None
-
-
-def orbit_witness(p: FanPoint, q: FanPoint) -> Optional[GroupElement]:
-    """A group element carrying p to q, when one exists."""
-    if p.support() != q.support():
         return None
     rows, targets = _support_system(p, q)
     units = solve_units(rows, targets, p.field)
     if units is None:
         return None
     return GroupElement(tuple(p.field.of(u) for u in units))
+
+
+def orbit_equal(p: FanPoint, q: FanPoint) -> bool:
+    """Decide whether two nondegenerate points lie in the same torus orbit."""
+    return orbit_witness(p, q) is not None
 
 
 def stabilizer(p: FanPoint) -> FinDiagGroupDesc:
@@ -314,62 +323,81 @@ def canonical_form(p: FanPoint) -> FanPoint:
     """The lexicographically least point in the orbit of p.
 
     Coordinates are ordered by ray index and field elements by canonical
-    integer representative.  Only defined over prime fields; for rational
-    points use :func:`orbit_equal` directly.
+    integer representative.  With the upper-triangular basis of the stratum
+    lattice L_S (module docstring), walk the support in ray order: the
+    orbit lets coordinate i take exactly the units whose discrete log is
+    congruent to the current log mod the pivot d_i, so it takes the least
+    of them, and the matching multiple of basis row i moves the later
+    coordinates along.  Only defined over prime fields; for rational points
+    use :func:`orbit_equal` directly.
     """
     if not isinstance(p.field, PrimeField):
         raise ValueError("canonical forms are defined over prime fields only")
     if not is_nondegenerate(p.fan, p.coords, p.field):
         raise ValueError("canonical form requires a nondegenerate point")
-    f = free_rank(p.fan)
-    if (p.field.p - 1) ** f <= _SCAN_BOUND:
-        return _canonical_by_scan(p)
-    return _canonical_by_congruences(p)
+    ctx = _dlog_context(p.field)
+    support = p.support()
+    basis = _stratum_basis(_weights(p.fan), support, p.field.p - 1)
+    values = _least_values(ctx, basis, [ctx.log(p.coords[r]) for r in support])
+    return _point_on(p.fan, p.field, support, values)
 
 
-def _canonical_by_scan(p: FanPoint) -> FanPoint:
-    field = p.field
-    best = None
-    for units in itertools.product(range(1, field.p), repeat=free_rank(p.fan)):
-        q = act(GroupElement(units), p)
-        key = q.coord_ints()
-        if best is None or key < best[0]:
-            best = (key, q)
-    return best[1]
+def _stratum_basis(
+    w: IntMatrix, support: Sequence[int], modulus: int
+) -> List[List[int]]:
+    """Upper-triangular basis of the lattice spanned by the rows of W_S mod
+    ``modulus`` and by ``modulus`` Z^S: row i has its pivot at column i, and
+    every pivot divides ``modulus``."""
+    rows = [[w[k, r] % modulus for r in support] for k in range(w.rows)]
+    rows += [[modulus if i == j else 0 for j in range(len(support))] for i in range(len(support))]
+    h, _ = hnf(IntMatrix.from_rows(rows))
+    return h.to_rows()[: len(support)]
 
 
-def _canonical_by_congruences(p: FanPoint) -> FanPoint:
-    """Greedy lexicographic minimization, one coordinate at a time.
+def _least_values(ctx: _DlogContext, basis: List[List[int]], logs: Sequence[int]) -> List[int]:
+    """Coordinate values of the least point of the coset ``logs + L_S``."""
+    modulus = ctx.field.p - 1
+    x = list(logs)
+    values = []
+    for i, row in enumerate(basis):
+        d = row[i]
+        v = _least_unit(ctx, x[i] % d, d)
+        step = (ctx.table[v] - x[i]) // d
+        for j in range(i + 1, len(x)):
+            x[j] = (x[j] + step * row[j]) % modulus
+        values.append(v)
+    return values
 
-    At each nonzero position we pick the least value for which the combined
-    congruence system (previous choices plus the new one) stays solvable mod
-    p-1; solvability is decided by Smith normal form.
-    """
-    field = p.field
-    ctx = _dlog_context(field)
-    w = _weights(p.fan)
-    mod = field.p - 1
-    rows: List[List[int]] = []
-    rhs: List[int] = []
-    out = list(p.coords)
-    for r, c in enumerate(p.coords):
-        if field.is_zero(c):
-            continue
-        row = [w[k, r] for k in range(w.rows)]
-        chosen = None
-        for v in range(1, field.p):
-            target = field.div(v, c)
-            b = ctx.log(target)
-            A = IntMatrix.from_rows(rows + [row])
-            if solve_mod(A, rhs + [b], mod) is not None:
-                chosen = v
-                rows.append(row)
-                rhs.append(b)
-                break
-        if chosen is None:
-            raise AssertionError("unit system became unsolvable")
-        out[r] = chosen
-    return FanPoint(p.fan, field, tuple(out))
+
+def _least_unit(ctx: _DlogContext, residue: int, d: int) -> int:
+    """The least unit whose discrete log is congruent to ``residue`` mod d."""
+    p = ctx.field.p
+    if d == 1:
+        return 1
+    if d == p - 1:
+        return pow(ctx.g, residue, p)
+    if d * d < p - 1:
+        # A hit is expected within about d integers, fewer than the
+        # (p-1)/d elements of the coset.
+        v = 1
+        while ctx.table[v] % d != residue:
+            v += 1
+        return v
+    step = pow(ctx.g, d, p)
+    u = least = pow(ctx.g, residue, p)
+    for _ in range((p - 1) // d - 1):
+        u = u * step % p
+        least = min(least, u)
+    return least
+
+
+def _point_on(
+    fan: StackyFan, field: PrimeField, support: Sequence[int], values: Sequence[int]
+) -> FanPoint:
+    coords = [0] * fan.num_rays
+    for r, v in zip(support, values):
+        coords[r] = v
+    return FanPoint(fan, field, tuple(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +425,36 @@ def count_coarse_points(fan: StackyFan, q: int) -> int:
 
 
 def enumerate_orbits(fan: StackyFan, p: int) -> List[Tuple[FanPoint, int]]:
-    """Exhaustively enumerate torus orbits of nondegenerate F_p points.
+    """Enumerate the torus orbits of nondegenerate F_p points.
 
     Returns (canonical representative, stabilizer group-scheme order) pairs,
-    sorted by representative.  Guarded to desk scale.
+    sorted by representative.  Each face of the fan is one stratum: one HNF
+    gives its lattice basis, whose pivots d_i make the reduced coset
+    representatives prod range(d_i), one per orbit, and each goes through
+    the greedy pass of :func:`canonical_form`; one cokernel gives the
+    stabilizer order shared by the stratum.  The orbit-count guard compares
+    the total sum over faces of prod d_i with its bound before any orbit is
+    built.
     """
     field = PrimeField(p)
-    if p**fan.num_rays > _ENUM_BOUND:
-        raise ValueError("enumeration guard exceeded")
-    reps: Dict[Tuple, Tuple[FanPoint, int]] = {}
-    for coords in itertools.product(range(p), repeat=fan.num_rays):
-        if not is_nondegenerate(fan, coords, field):
-            continue
-        pt = FanPoint(fan, field, coords)
-        canon = canonical_form(pt)
-        key = canon.coord_ints()
-        if key not in reps:
-            reps[key] = (canon, stabilizer_order(canon))
-    return [reps[k] for k in sorted(reps)]
+    ctx = _dlog_context(field)
+    w = _weights(fan)
+    strata = []
+    for face in fan_faces(fan):
+        support = tuple(r for r in range(fan.num_rays) if r not in face)
+        strata.append((support, _stratum_basis(w, support, p - 1)))
+    count = sum(math.prod(row[i] for i, row in enumerate(b)) for _, b in strata)
+    if count > _ORBIT_COUNT_BOUND:
+        raise ValueError(
+            f"orbit-count guard: {count} torus orbits of F_{p} points exceed "
+            f"the bound {_ORBIT_COUNT_BOUND}"
+        )
+    orbits = []
+    for support, basis in strata:
+        order = stabilizer_order(_point_on(fan, field, support, [1] * len(support)))
+        pivots = [range(row[i]) for i, row in enumerate(basis)]
+        for logs in itertools.product(*pivots):
+            values = _least_values(ctx, basis, logs)
+            orbits.append((_point_on(fan, field, support, values), order))
+    orbits.sort(key=lambda orbit: orbit[0].coords)
+    return orbits

@@ -1,14 +1,33 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
 
 from toricchains.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_subprocess(argv, hash_seed):
+    """The CLI in a fresh interpreter, with the given string-hash seed."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
+    return subprocess.run(
+        [sys.executable, "-m", "toricchains.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,
+    )
 
 
 class TestFanCommands:
@@ -85,6 +104,35 @@ class TestPointCommands:
             capsys, *"point stab --family A --n 1 --coords 0,0 --field F7".split()
         )
         assert code == 2
+
+    def test_enumerate_orbit_count_guard(self, capsys):
+        # (A_5, F_11) has 253186 orbits, above the guard's bound of 10^5
+        code = main("point enumerate --family A --n 5 --p 11".split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "orbit-count guard" in captured.err
+        assert "253186" in captured.err and "100000" in captured.err
+
+
+POINT_COMMANDS = (
+    "point stab --family A --n 2 --coords 0,0,1,1 --field F7 --json",
+    "point orbit-eq --family A --n 2 --coords 1,2,3,4 --coords2 0,2,3,4 --field F7 --json",
+    "point count --family C --n 2 --q 5 --json",
+    "point canon --family A --n 2 --coords 3,5,2,6 --field F7 --json",
+    "point enumerate --family C --n 2 --p 5 --json",
+)
+
+
+@pytest.mark.parametrize("command", POINT_COMMANDS, ids=lambda c: c.split()[1])
+def test_point_json_matches_schema_and_reruns_byte_identical(command):
+    schema = json.loads((ROOT / "schemas" / "point.schema.json").read_text())
+    outs = []
+    for hash_seed in (0, 1):
+        proc = run_subprocess(command.split(), hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    jsonschema.validate(json.loads(outs[0]), schema)
 
 
 class TestChainCommands:

@@ -2,6 +2,7 @@
 stabilizers and counts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,6 @@ from toricchains.fields import GF, QQ
 from toricchains.orbit_points import (
     FanPoint,
     GroupElement,
-    _canonical_by_congruences,
-    _canonical_by_scan,
     act,
     canonical_form,
     count_coarse_points,
@@ -25,18 +24,69 @@ from toricchains.orbit_points import (
     stabilizer,
     stabilizer_order,
 )
-from toricchains.root_fans import FanFamily, build_sigma_A, build_upsilon
+from toricchains.root_fans import (
+    FanFamily,
+    build_sigma_A,
+    build_upsilon,
+    fan_faces,
+    weight_matrix,
+)
 
 F3, F5, F7, F11 = GF(3), GF(5), GF(7), GF(11)
 A1 = build_upsilon(FanFamily("A", 1))
 A2 = build_upsilon(FanFamily("A", 2))
 C2 = build_upsilon(FanFamily("C", 2))
+BCAN2 = build_upsilon(FanFamily("Bcan", 2))
+SIGMA3 = build_sigma_A(3)
 
 
 def _nondeg_points(fan, field):
     for coords in itertools.product(range(field.p), repeat=fan.num_rays):
         if is_nondegenerate(fan, coords, field):
             yield FanPoint(fan, field, coords)
+
+
+# Brute-force oracle: the whole torus (F_p^*)^f, one character value per ray.
+
+
+def _torus_characters(fan, p):
+    w = weight_matrix(fan)
+    return [
+        tuple(
+            math.prod(pow(u, w[k, r], p) for k, u in enumerate(units)) % p
+            for r in range(fan.num_rays)
+        )
+        for units in itertools.product(range(1, p), repeat=w.rows)
+    ]
+
+
+def _orbit(chars, coords, p):
+    return {tuple(c * x % p for c, x in zip(ch, coords)) for ch in chars}
+
+
+def _canonical_mismatches(fan, field, points, canon):
+    """Points whose image under ``canon`` is not the least of their orbit."""
+    chars = _torus_characters(fan, field.p)
+    return [
+        pt.coords for pt in points
+        if canon(pt).coords != min(_orbit(chars, pt.coords, field.p))
+    ]
+
+
+def _partition_problems(fan, field, orbits):
+    """Differences between an enumeration and the brute-force partition of
+    the nondegenerate points into orbits, each named by its least point."""
+    chars = _torus_characters(fan, field.p)
+    least = sorted({min(_orbit(chars, pt.coords, field.p)) for pt in _nondeg_points(fan, field)})
+    problems = []
+    reps = [pt.coords for pt, _ in orbits]
+    if reps != least:
+        problems.append(f"{len(reps)} representatives for {len(least)} orbits")
+    problems += [
+        f"{pt.coords}: stabilizer order {order}"
+        for pt, order in orbits if order != stabilizer_order(pt)
+    ]
+    return problems
 
 
 class TestNondegeneracy:
@@ -89,6 +139,20 @@ class TestAction:
         p = make_point(A1, F7, [1, 1])
         with pytest.raises(ValueError):
             act(GroupElement((0,)), p)
+
+    def test_unit_zero_mod_p_rejected(self):
+        # 5 is 0 in F_5: on A_1 it would give the degenerate point (0, 0),
+        # on A_2 its negative weights would divide by zero.
+        with pytest.raises(ValueError):
+            act(GroupElement((5,)), make_point(A1, F5, [1, 1]))
+        with pytest.raises(ValueError):
+            act(GroupElement((5, 1)), make_point(A2, F5, [1, 1, 1, 1]))
+        with pytest.raises(ValueError):
+            act(GroupElement((1, 10)), make_point(A2, F5, [1, 1, 1, 1]))
+
+    def test_units_reduced_mod_p(self):
+        p = make_point(A1, F7, [1, 1])
+        assert act(GroupElement((9,)), p).coords == act(GroupElement((2,)), p).coords
 
 
 class TestOrbitEqual:
@@ -146,6 +210,27 @@ class TestOrbitEqual:
         with pytest.raises(ValueError):
             orbit_equal(make_point(A1, F7, [1, 1]), make_point(A1, F5, [1, 1]))
 
+    def test_witness_carries_p_to_q(self):
+        p = make_point(A2, F7, [1, 2, 3, 4])
+        q = act(GroupElement((3, 5)), p)
+        assert act(orbit_witness(p, q), p) == q
+        assert orbit_witness(p, make_point(A2, F7, [0, 2, 3, 4])) is None
+
+    def test_witness_rejects_field_mismatch(self):
+        with pytest.raises(ValueError):
+            orbit_witness(make_point(A1, F5, [1, 1]), make_point(A1, F7, [1, 1]))
+
+    def test_witness_rejects_fan_mismatch(self):
+        with pytest.raises(ValueError):
+            orbit_witness(make_point(A2, F5, [1, 1, 1, 1]), make_point(C2, F5, [1, 1, 1, 1]))
+
+    def test_witness_rejects_degenerate_point(self):
+        origin = FanPoint(A1, F5, (0, 0))
+        with pytest.raises(ValueError):
+            orbit_witness(origin, origin)
+        with pytest.raises(ValueError):
+            orbit_witness(make_point(A1, F5, [1, 1]), origin)
+
 
 class TestCanonicalForm:
     def test_idempotent(self):
@@ -181,12 +266,26 @@ class TestCanonicalForm:
             for u in range(1, 5):
                 assert canonical_form(act(GroupElement((u,)), p)).coords == base
 
-    def test_methods_agree(self):
-        for fan, field in ((A1, F7), (A2, F5), (C2, F5)):
-            for p in _nondeg_points(fan, field):
-                a = _canonical_by_scan(p)
-                b = _canonical_by_congruences(p)
-                assert a.coords == b.coords
+    def test_matches_torus_minimum(self):
+        for fan, field in ((A1, F7), (A2, F5), (C2, F5), (BCAN2, F5), (SIGMA3, F3)):
+            points = list(_nondeg_points(fan, field))
+            assert _canonical_mismatches(fan, field, points, canonical_form) == []
+
+    def test_matches_torus_minimum_large_field(self):
+        field, rng = GF(101), random.Random(11)
+        faces = fan_faces(A2)
+        points = []
+        for _ in range(20):
+            face = rng.choice(faces)
+            coords = [0 if r in face else rng.randint(1, 100) for r in range(A2.num_rays)]
+            points.append(make_point(A2, field, coords))
+        assert _canonical_mismatches(A2, field, points, canonical_form) == []
+
+    def test_oracle_rejects_non_least_element(self):
+        # negative control: a fixed torus translate of the least point
+        moved = lambda p: act(GroupElement((2, 1)), canonical_form(p))
+        points = list(_nondeg_points(A2, F5))
+        assert _canonical_mismatches(A2, F5, points, moved)
 
     def test_rational_field_rejected(self):
         with pytest.raises(ValueError):
@@ -313,6 +412,18 @@ class TestEnumerate:
             if cokernel(cols).is_trivial():
                 expected += (q - 1) ** (A2.rank - len(face))
         assert free == expected == 13
+
+    def test_matches_brute_force_partition(self):
+        for fan in (A2, C2):
+            assert _partition_problems(fan, F5, enumerate_orbits(fan, 5)) == []
+
+    def test_oracle_rejects_dropped_orbit(self):
+        orbits = enumerate_orbits(A2, 5)
+        assert _partition_problems(A2, F5, orbits[:7] + orbits[8:])
+
+    def test_orbit_counts(self):
+        assert len(enumerate_orbits(A2, 13)) == 200
+        assert len(enumerate_orbits(build_upsilon(FanFamily("A", 3)), 7)) == 541
 
     def test_guard(self):
         with pytest.raises(ValueError):
