@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _xgcd
 from .fields import Element, Field, PrimeField
 from .orbit_points import (
     FanPoint,
@@ -649,7 +649,7 @@ def _reversal_related(p: Sequence[Element], q: Sequence[Element], field: Field) 
     # take a g-th root, then verify everything.
     g, coeffs = constraints[0][0], {constraints[0][0]: 1}
     for r, _ in constraints[1:]:
-        gg, s, t = _ext_gcd(g, r)
+        gg, s, t = _xgcd(g, r)
         coeffs = {k: s * v for k, v in coeffs.items()}
         coeffs[r] = coeffs.get(r, 0) + t
         g = gg
@@ -671,18 +671,6 @@ def _reversal_related(p: Sequence[Element], q: Sequence[Element], field: Field) 
         if all(field.pow(w, r) == t for r, t in constraints):
             return True
     return False
-
-
-def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)

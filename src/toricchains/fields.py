@@ -85,7 +85,7 @@ class Field:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.div(self.of(int(num)), self.of(int(den)))
+            return self.of(Fraction(int(num), int(den)))
         return self.of(int(text))
 
 
@@ -150,6 +150,10 @@ class PrimeField(Field):
 
     def of(self, value) -> int:
         if isinstance(value, Fraction):
+            if value.denominator % self.p == 0:
+                raise ValueError(
+                    f"{value} has no image in F_{self.p}: {self.p} divides its denominator"
+                )
             return self.div(value.numerator % self.p, value.denominator % self.p)
         return int(value) % self.p
 

@@ -3,9 +3,15 @@ map.
 
 Lattice polytopes live in the root-lattice coordinates obtained by dropping
 the last basis vector of Z^n (so a point sum_i a_i u_i with sum a_i = 0 is
-stored as (a_1, ..., a_{n-1})).  Extreme-point reduction is exact: a cheap
-pass certifies vertices as unique maximizers of generic chamber functionals,
-and every remaining candidate is settled by a rational phase-1 simplex.
+stored as (a_1, ..., a_{n-1})).  Every polytope here (the permutohedron,
+the hypersimplices, the root segments and their Minkowski sums) is a
+generalized permutohedron: its normal fan coarsens the braid fan (Postnikov,
+"Permutohedra, associahedra, and beyond").  Its vertices are therefore the
+maximizers of the n! permuted weights, and extreme_points reads them off
+with an exact certificate (unique maximizers, root-direction edges, cut
+inequalities) that raises instead of answering for any other point set.
+No linear program is solved.  A dimension guard, checked before any point
+is built, bounds the n! passes.
 
 The symbolic checks expand the chart sections (sum_{|I|=j} x_I)/x_{sigma(1..j)}
 in the chart coordinates t_i = x_{sigma(i+1)}/x_{sigma(i)} and verify the
@@ -16,9 +22,10 @@ telescoping hyperplane identity behind the degree-n! covering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .chains import ExtendedPoint
@@ -27,145 +34,95 @@ from .orbit_points import is_nondegenerate
 from .root_fans import StackyFan, build_sigma_A, sigma_subsets
 from .symbolic import MultiPoly, RationalExpr
 
-_HULL_DIM_GUARD = 6
+_DIM_GUARD = 6
 
 
 # ---------------------------------------------------------------------------
-# Exact convex geometry
+# Generalized permutohedra
 # ---------------------------------------------------------------------------
 
 
-def _in_hull(v: Sequence[int], pts: Sequence[Sequence[int]]) -> bool:
-    """Exact test v in conv(pts) by a phase-1 simplex over the rationals."""
-    if not pts:
-        return False
-    d = len(v)
-    m = len(pts)
-    rows = d + 1
-    A = [[Fraction(p[i]) for p in pts] for i in range(d)]
-    A.append([Fraction(1)] * m)
-    b = [Fraction(x) for x in v] + [Fraction(1)]
-    for i in range(rows):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    ncols = m + rows
-    tableau = [
-        A[i] + [Fraction(1 if j == i else 0) for j in range(rows)] + [b[i]]
-        for i in range(rows)
-    ]
-    basis = list(range(m, m + rows))
-    while True:
-        w = sum(tableau[i][ncols] for i in range(rows) if basis[i] >= m)
-        if w == 0:
-            return True
-        # Reduced costs for minimizing the sum of artificial variables.
-        # Artificial columns never re-enter (standard phase-1), which keeps
-        # Bland's anti-cycling guarantee intact.
-        cost = [Fraction(0)] * m
-        for i in range(rows):
-            if basis[i] >= m:
-                for j in range(m):
-                    cost[j] += tableau[i][j]
-        entering = None
-        for j in range(m):
-            if j in basis:
-                continue
-            if cost[j] > 0:
-                entering = j  # Bland: smallest index
-                break
-        if entering is None:
-            return False
-        pivot_row = None
-        best = None
-        for i in range(rows):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][ncols] / tableau[i][entering]
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    pivot_row = i
-        if pivot_row is None:
-            # Unbounded phase-1 objective cannot happen; defensive guard.
-            raise AssertionError("phase-1 simplex unbounded")
-        piv = tableau[pivot_row][entering]
-        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        for i in range(rows):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [
-                    x - f * y for x, y in zip(tableau[i], tableau[pivot_row])
-                ]
-        basis[pivot_row] = entering
+def _check_dim(dim: int) -> None:
+    """The certificate costs (dim+1)! passes over the points."""
+    if dim > _DIM_GUARD:
+        raise ValueError(
+            f"polytope dimension guard: ambient dimension {dim} exceeds the bound {_DIM_GUARD}"
+        )
 
 
-def _chamber_functionals(dim: int) -> List[Tuple[int, ...]]:
-    """Generic integer functionals: permuted (n, ..., 1) weights pushed to the
-    root coordinates, plus all 0/1 cuts and the coordinate directions."""
-    n = dim + 1
-    out = []
-    seen = set()
-
-    def push(w):
-        f = tuple(w[i] - w[n - 1] for i in range(dim))
-        if f not in seen and any(f):
-            seen.add(f)
-            out.append(f)
-
-    for perm in itertools.permutations(range(n, 0, -1)):
-        push(perm)
-    for mask in range(1, 2**n - 1):
-        push(tuple(1 if (mask >> i) & 1 else 0 for i in range(n)))
-    for i in range(dim):
-        for sign in (1, -1):
-            f = tuple(sign if k == i else 0 for k in range(dim))
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-    return out
+@functools.lru_cache(maxsize=None)
+def _braid_chambers(n: int):
+    """The permuted weights w of (n, ..., 1), their functionals w_i - w_n in
+    root coordinates, and the walls between them: (i, j, a, b) when weight j
+    is weight i with its values w_a = w_b + 1 swapped."""
+    weights = list(itertools.permutations(range(n, 0, -1)))
+    index = {w: i for i, w in enumerate(weights)}
+    walls = []
+    for i, w in enumerate(weights):
+        for k in range(1, n):
+            a, b = w.index(k + 1), w.index(k)
+            swapped = list(w)
+            swapped[a], swapped[b] = k, k + 1
+            walls.append((i, index[tuple(swapped)], a, b))
+    functionals = [tuple(x - w[-1] for x in w[:-1]) for w in weights]
+    return weights, functionals, walls
 
 
 def extreme_points(dim: int, points: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """The extreme points of a finite integer point set, exactly.
+    """The vertices of conv(points), for a hull whose normal fan coarsens the
+    braid fan (a generalized permutohedron), by an exact certificate.
 
-    Unique maximizers of the chamber functionals are certified extreme
-    without an LP; all other candidates are settled by exact hull membership.
+    With n = dim + 1, let v_w be the maximizer over the points of each
+    permuted weight w of (n, ..., 1), read in root coordinates as the
+    functional w_i - w_n.  The points pass when
+      1. every v_w is the unique maximizer of w;
+      2. for w' = w with the adjacent values w_a = w_b + 1 swapped,
+         v_w - v_w' = c (u_a - u_b) with c >= 0 (the edge condition of
+         Postnikov-Reiner-Williams, "Faces of generalized permutohedra");
+      3. every cut functional 1_S has the same maximum over the points as
+         over the v_w.
+    By 1 and 2 the v_w are the vertices of a generalized permutohedron P;
+    P is cut out by the inequalities of its cut functionals, so by 3 every
+    point lies in P.  Any failure raises ValueError, never a wrong answer.
     """
-    if dim > _HULL_DIM_GUARD:
-        raise ValueError("convex hull guard: ambient dimension too large")
-    pts = sorted({tuple(int(x) for x in p) for p in points})
-    if len(pts) <= 2:
-        return list(pts)
-    certified = set()
-    for functional in _chamber_functionals(dim):
-        best_val = None
-        best_pt = None
-        unique = False
-        for p in pts:
-            val = sum(f * x for f, x in zip(functional, p))
-            if best_val is None or val > best_val:
-                best_val, best_pt, unique = val, p, True
-            elif val == best_val:
-                unique = False
-        if unique:
-            certified.add(best_pt)
-    point_set = set(pts)
-    vertices = set(certified)
-    for p in pts:
-        if p in vertices:
+    _check_dim(dim)
+    pts = list({tuple(map(int, p)) for p in points})
+    if not pts:
+        return []
+    n = dim + 1
+    weights, functionals, walls = _braid_chambers(n)
+    chamber = []
+    for w, f in zip(weights, functionals):
+        values = [sum(map(mul, f, p)) for p in pts]
+        top = max(values)
+        ties = values.count(top)
+        if ties > 1:
+            raise ValueError(
+                f"not a generalized permutohedron: {ties} points maximize the weight {w}"
+            )
+        chamber.append(pts[values.index(top)])
+    for i, j, a, b in walls:
+        if chamber[i] == chamber[j]:
             continue
-        # Midpoint prefilter: p = (q + r)/2 with q, r in the set is interior.
-        double = tuple(2 * x for x in p)
-        if any(
-            q != p and tuple(d - x for d, x in zip(double, q)) in point_set
-            for q in pts
-        ):
-            continue
-        if vertices and _in_hull(p, sorted(vertices)):
-            continue
-        if not _in_hull(p, [q for q in pts if q != p]):
-            vertices.add(p)
-    return sorted(vertices)
+        d = [x - y for x, y in zip(chamber[i], chamber[j])]
+        d.append(-sum(d))
+        c = d[a]
+        d[a], d[b] = 0, d[b] + c
+        if c < 0 or any(d):
+            raise ValueError(
+                f"not a generalized permutohedron: the maximizers of {weights[i]} and "
+                f"{weights[j]} differ by no multiple c >= 0 of u_{a + 1} - u_{b + 1}"
+            )
+    vertices = sorted(set(chamber))
+    for mask in range(1, 2**n - 1):
+        f = tuple(((mask >> i) & 1) - (mask >> dim) for i in range(dim))
+        if max(sum(map(mul, f, p)) for p in pts) > max(sum(map(mul, f, v)) for v in vertices):
+            cut = [i + 1 for i in range(n) if (mask >> i) & 1]
+            raise ValueError(
+                f"not a generalized permutohedron: a point exceeds the vertices' "
+                f"maximum of the cut functional on {cut}"
+            )
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -200,26 +157,16 @@ class LatticePolytope:
         return {"ambient_dim": self.ambient_dim, "vertices": [list(v) for v in self.vertices]}
 
 
-def _root_coords(n: int, coeffs: Dict[int, int]) -> Tuple[int, ...]:
-    """Express sum_i coeffs[i] * u_i (with coefficient sum zero) in the basis
-    u_1 - u_n, ..., u_{n-1} - u_n."""
-    assert sum(coeffs.values()) == 0
-    return tuple(coeffs.get(i, 0) for i in range(1, n))
-
-
 def permutohedron(n: int) -> LatticePolytope:
     """Convex hull of the orbit of (n-1, n-2, ..., 0) weights, translated so
-    the identity-ordering vertex is the origin."""
+    the identity-ordering vertex is the origin: the points sum_i (i - pi(i)) u_i
+    over the permutations pi of the positions."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    base = {i + 1: -(n - 1 - i) for i in range(n)}  # identity ordering offset
-    points = []
-    for sigma in itertools.permutations(range(1, n + 1)):
-        coeffs = dict(base)
-        for k in range(n):
-            coeffs[sigma[k]] = coeffs.get(sigma[k], 0) + (n - 1 - k)
-        coeffs = {i: c for i, c in coeffs.items()}
-        points.append(_root_coords(n, coeffs))
+    _check_dim(n - 1)
+    points = [
+        tuple(i - pi[i] for i in range(n - 1)) for pi in itertools.permutations(range(n))
+    ]
     return LatticePolytope.from_points(n - 1, points)
 
 
@@ -228,14 +175,11 @@ def delta_j(n: int, j: int) -> LatticePolytope:
     over all j-element subsets J."""
     if not 1 <= j <= n - 1:
         raise ValueError("need 1 <= j <= n-1")
-    points = []
-    for J in itertools.combinations(range(1, n + 1), j):
-        coeffs: Dict[int, int] = {}
-        for i in J:
-            coeffs[i] = coeffs.get(i, 0) + 1
-        for i in range(1, j + 1):
-            coeffs[i] = coeffs.get(i, 0) - 1
-        points.append(_root_coords(n, coeffs))
+    _check_dim(n - 1)
+    points = [
+        tuple((i in J) - (i < j) for i in range(n - 1))
+        for J in itertools.combinations(range(n), j)
+    ]
     return LatticePolytope.from_points(n - 1, points)
 
 
@@ -243,24 +187,20 @@ def root_segment(n: int, i: int, j: int) -> LatticePolytope:
     """The segment from the origin to the root u_i - u_j."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need distinct indices in range")
-    coeffs = {i: 1, j: -1}
-    return LatticePolytope.from_points(n - 1, [(0,) * (n - 1), _root_coords(n, coeffs)])
+    _check_dim(n - 1)
+    root = tuple((k == i) - (k == j) for k in range(1, n))
+    return LatticePolytope.from_points(n - 1, [(0,) * (n - 1), root])
 
 
 def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    sums = [
-        tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices
-    ]
+    sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
     return LatticePolytope.from_points(P.ambient_dim, sums)
 
 
 def minkowski_sum_all(polys: Sequence[LatticePolytope]) -> LatticePolytope:
-    total = polys[0]
-    for p in polys[1:]:
-        total = minkowski_sum(total, p)
-    return total
+    return functools.reduce(minkowski_sum, polys)
 
 
 def verify_minkowski(n: int) -> bool:
@@ -271,9 +211,7 @@ def verify_minkowski(n: int) -> bool:
     hyper = minkowski_sum_all([delta_j(n, j) for j in range(1, n)])
     if hyper.vertices != perm.vertices:
         return False
-    segments = [
-        root_segment(n, j, k) for j in range(1, n + 1) for k in range(1, j)
-    ]
+    segments = [root_segment(n, j, k) for j in range(1, n + 1) for k in range(1, j)]
     return minkowski_sum_all(segments).vertices == perm.vertices
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from toricchains.chains import (
     ChainModel,
+    _reversal_related,
     ExtendedPoint,
     act_extended,
     b_point_embed,
@@ -435,6 +436,33 @@ class TestParity:
         assert model_b.base.total_degree == 5
         degrees = model_b.base.component_degrees
         assert degrees == tuple(reversed(degrees))
+
+
+
+class TestReversalRelated:
+    """q(t) = u * rev(p)(v t): the exponents of the nonzero positions are
+    combined by an extended gcd into one root extraction."""
+
+    @staticmethod
+    def _image(p, u, v, field):
+        rev = list(reversed(p))
+        return [field.mul(u, field.mul(c, field.pow(v, r))) for r, c in enumerate(rev)]
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(13)], ids=str)
+    def test_exponents_two_and_three(self, field):
+        # rev(p) = (1, 0, 2, 5): constraints v^2 and v^3, gcd 1
+        p = [field.of(c) for c in (5, 2, 0, 1)]
+        q = self._image(p, field.of(3), field.of(2), field)
+        assert _reversal_related(p, q, field)
+        q[3] = field.add(q[3], field.one)  # v^3 no longer the cube of v
+        assert not _reversal_related(p, q, field)
+
+    def test_exponents_two_and_four(self):
+        # rev(p) = (1, 0, 1, 0, 1): constraints v^2 and v^4, gcd 2, root 3
+        p = [QQ.of(c) for c in (1, 0, 1, 0, 1)]
+        assert _reversal_related(p, self._image(p, QQ.of(4), QQ.of(3), QQ), QQ)
+        # v^2 = 2, v^4 = 4 are consistent but 2 has no rational square root
+        assert not _reversal_related(p, [QQ.of(c) for c in (1, 0, 2, 0, 4)], QQ)
 
 
 def test_chain_model_validation():

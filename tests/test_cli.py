@@ -20,13 +20,13 @@ def run(capsys, *argv):
     return code, out
 
 
-def run_subprocess(argv, hash_seed):
+def run_subprocess(argv, hash_seed, timeout=60):
     """The CLI in a fresh interpreter, with the given string-hash seed."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
     return subprocess.run(
         [sys.executable, "-m", "toricchains.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=timeout,
     )
 
 
@@ -114,18 +114,31 @@ class TestPointCommands:
         assert "253186" in captured.err and "100000" in captured.err
 
 
-POINT_COMMANDS = (
-    "point stab --family A --n 2 --coords 0,0,1,1 --field F7 --json",
-    "point orbit-eq --family A --n 2 --coords 1,2,3,4 --coords2 0,2,3,4 --field F7 --json",
-    "point count --family C --n 2 --q 5 --json",
-    "point canon --family A --n 2 --coords 3,5,2,6 --field F7 --json",
-    "point enumerate --family C --n 2 --p 5 --json",
+JSON_COMMANDS = (
+    ("point stab --family A --n 2 --coords 0,0,1,1 --field F7 --json", "point"),
+    ("point orbit-eq --family A --n 2 --coords 1,2,3,4 --coords2 0,2,3,4 --field F7 --json",
+     "point"),
+    ("point count --family C --n 2 --q 5 --json", "point"),
+    ("point canon --family A --n 2 --coords 3,5,2,6 --field F7 --json", "point"),
+    ("point enumerate --family C --n 2 --p 5 --json", "point"),
+    ("fan build --family A --n 3 --json", "fan"),
+    ("fan export --family C --n 2", "fan"),
+    ("chain from-poly --poly 1,4,1,1 --field F7 --json", "chain"),
+    ("chain from-point --family A --n 2 --coords 0,0,1,1 --field F7 --json", "chain"),
+    ("chain fiber --poly 1,4,1,1 --q 7 --json", "chain"),
+    ("chain parity --coeffs 1,3,1 --json", "chain"),
+    ("chain embed --family C --n 2 --coords 2,3,4,5 --field F7 --json", "chain"),
+    ("verify all --n 4 --json", "verify_report"),
 )
 
 
-@pytest.mark.parametrize("command", POINT_COMMANDS, ids=lambda c: c.split()[1])
-def test_point_json_matches_schema_and_reruns_byte_identical(command):
-    schema = json.loads((ROOT / "schemas" / "point.schema.json").read_text())
+@pytest.mark.parametrize(
+    "command, schema_name", JSON_COMMANDS, ids=[c.split()[1] for c, _ in JSON_COMMANDS]
+)
+def test_point_json_matches_schema_and_reruns_byte_identical(command, schema_name):
+    """Every listed --json command (point, fan, chain and verify) in two fresh
+    interpreters: stdout byte-identical and valid against its schema."""
+    schema = json.loads((ROOT / "schemas" / f"{schema_name}.schema.json").read_text())
     outs = []
     for hash_seed in (0, 1):
         proc = run_subprocess(command.split(), hash_seed)
@@ -164,6 +177,13 @@ class TestChainCommands:
             assert payload["normalized"] is True
             assert payload["coefficients"] == ["1", "0", "1"]
 
+    def test_fraction_without_image_in_prime_field(self, capsys):
+        # 1/5 has no image in F_5: a usage error that names the value and p
+        code = main("chain from-poly --poly 1/5,1,1 --field F5".split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "1/5" in captured.err and "F_5" in captured.err
+
     def test_parity(self, capsys):
         code, out = run(capsys, *"chain parity --coeffs 1,3,1 --json".split())
         assert json.loads(out)["parity"] == "+"
@@ -185,6 +205,13 @@ class TestPolytopeAndVerify:
     def test_delta(self, capsys):
         code, out = run(capsys, *"polytope delta --n 4 --j 2 --json".split())
         assert len(json.loads(out)["vertices"]) == 6
+
+    def test_dimension_guard_trips_before_enumeration(self):
+        # the guard trips before any of the 11! = 39916800 points is built
+        proc = run_subprocess("polytope permutohedron --n 11".split(), 0, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "dimension guard" in proc.stderr
+        assert "dimension 10" in proc.stderr and "bound 6" in proc.stderr
 
     def test_minkowski(self, capsys):
         code, out = run(capsys, *"polytope minkowski --n 3 --json".split())

@@ -39,6 +39,109 @@ from toricchains.root_fans import build_sigma_A, sigma_subsets
 F11 = GF(11)
 
 
+def _in_hull(v, pts):
+    """Exact test v in conv(pts) by a phase-1 simplex over the rationals."""
+    if not pts:
+        return False
+    d = len(v)
+    m = len(pts)
+    rows = d + 1
+    A = [[Fraction(p[i]) for p in pts] for i in range(d)]
+    A.append([Fraction(1)] * m)
+    b = [Fraction(x) for x in v] + [Fraction(1)]
+    for i in range(rows):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    ncols = m + rows
+    tableau = [
+        A[i] + [Fraction(1 if j == i else 0) for j in range(rows)] + [b[i]]
+        for i in range(rows)
+    ]
+    basis = list(range(m, m + rows))
+    while True:
+        w = sum(tableau[i][ncols] for i in range(rows) if basis[i] >= m)
+        if w == 0:
+            return True
+        # Reduced costs for minimizing the sum of artificial variables.
+        # Artificial columns never re-enter (standard phase-1), which keeps
+        # Bland's anti-cycling guarantee intact.
+        cost = [Fraction(0)] * m
+        for i in range(rows):
+            if basis[i] >= m:
+                for j in range(m):
+                    cost[j] += tableau[i][j]
+        entering = None
+        for j in range(m):
+            if j in basis:
+                continue
+            if cost[j] > 0:
+                entering = j  # Bland: smallest index
+                break
+        if entering is None:
+            return False
+        pivot_row = None
+        best = None
+        for i in range(rows):
+            if tableau[i][entering] > 0:
+                ratio = tableau[i][ncols] / tableau[i][entering]
+                key = (ratio, basis[i])
+                if best is None or key < best:
+                    best = key
+                    pivot_row = i
+        if pivot_row is None:
+            raise AssertionError("phase-1 simplex unbounded")
+        piv = tableau[pivot_row][entering]
+        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
+        for i in range(rows):
+            if i != pivot_row and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                tableau[i] = [
+                    x - f * y for x, y in zip(tableau[i], tableau[pivot_row])
+                ]
+        basis[pivot_row] = entering
+
+
+def oracle_vertices(points):
+    """The points outside the hull of the others: the vertex set, by LP."""
+    pts = sorted(set(map(tuple, points)))
+    return [p for p in pts if not _in_hull(p, [q for q in pts if q != p])]
+
+
+def root_coords(full):
+    """sum_i x_i u_i with sum x_i = 0, in the basis u_i - u_n."""
+    assert sum(full) == 0
+    return tuple(full[:-1])
+
+
+def permutohedron_points(n):
+    """sum_k (n-1-k) u_sigma(k), less the identity ordering's point."""
+    base = [n - 1 - k for k in range(n)]
+    return [
+        root_coords([base[sigma.index(i)] - base[i] for i in range(n)])
+        for sigma in itertools.permutations(range(n))
+    ]
+
+
+def hypersimplex_points(n, j, shift=None):
+    """sum_{i in J} u_i - (u_1 + ... + u_j) over |J| = j, plus a shift."""
+    shift = shift or (0,) * (n - 1)
+    out = []
+    for J in itertools.combinations(range(n), j):
+        full = [(i in J) - (i < j) for i in range(n)]
+        out.append(tuple(a + s for a, s in zip(root_coords(full), shift)))
+    return out
+
+
+def segment_points(n, i, j):
+    full = [(k == i) - (k == j) for k in range(n)]
+    return [(0,) * (n - 1), root_coords(full)]
+
+
+def sum_points(P, Q):
+    return [tuple(map(sum, zip(p, q))) for p in P for q in Q]
+
+
 class TestPolytopes:
     def test_permutohedron_counts(self):
         for n in (2, 3, 4, 5):
@@ -103,6 +206,92 @@ class TestPolytopes:
         # from_points never stores interior or duplicate points
         p = LatticePolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (1, 0), (2, 0)])
         assert p.vertices == ((0, 0), (0, 2), (2, 0))
+
+
+
+class TestVertexCertificate:
+    """extreme_points against the simplex oracle, and one negative control
+    for each leg of its certificate."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_constructors_match_oracle(self, n):
+        cases = [(permutohedron(n), permutohedron_points(n))]
+        cases += [(delta_j(n, j), hypersimplex_points(n, j)) for j in range(1, n)]
+        cases += [
+            (root_segment(n, i + 1, j + 1), segment_points(n, i, j))
+            for i, j in itertools.permutations(range(n), 2)
+        ]
+        for polytope, points in cases:
+            vertices = oracle_vertices(points)
+            assert extreme_points(n - 1, points) == vertices
+            assert list(polytope.vertices) == vertices
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sums_match_oracle(self, seed):
+        # sums of root segments and hypersimplex translates, summed both as
+        # point sets (checked by the oracle) and by minkowski_sum
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        points = [(0,) * (n - 1)]
+        polytope = LatticePolytope(n - 1, ((0,) * (n - 1),))
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.6:
+                i, j = rng.sample(range(n), 2)
+                summand, term = segment_points(n, i, j), root_segment(n, i + 1, j + 1)
+            else:
+                j = rng.randint(1, n - 1)
+                shift = tuple(rng.randint(-3, 3) for _ in range(n - 1))
+                summand, term = hypersimplex_points(n, j, shift), delta_j(n, j).translate(shift)
+            points = sum_points(points, summand)
+            polytope = minkowski_sum(polytope, term)
+        vertices = oracle_vertices(points)
+        assert extreme_points(n - 1, points) == vertices
+        assert list(polytope.vertices) == vertices
+
+    def test_arbitrary_point_sets_raise_or_match_oracle(self):
+        rng = random.Random(3)
+        outcomes = set()
+        for _ in range(150):
+            points = [
+                (rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 6))
+            ]
+            try:
+                vertices = extreme_points(2, points)
+            except ValueError as exc:
+                assert "not a generalized permutohedron" in str(exc)
+                outcomes.add("raised")
+            else:
+                assert vertices == oracle_vertices(points)
+                outcomes.add("answered")
+        assert outcomes == {"raised", "answered"}
+
+    def test_tie_raises(self):
+        # (1, 0) and (0, 2) both take the maximum 2 of the weight (3, 2, 1)
+        with pytest.raises(ValueError, match="2 points maximize the weight"):
+            extreme_points(2, [(0, 0), (1, 0), (0, 2)])
+
+    def test_off_root_edge_raises(self):
+        # unique maximizers, but the edge from (0, 0) to (2, 1) is not along
+        # a root
+        with pytest.raises(ValueError, match="differ by no multiple"):
+            extreme_points(2, [(0, 0), (2, 1), (1, 2)])
+
+    def test_cut_only_raises(self):
+        # (-18, 5) maximizes no permuted weight, so the maximizers pass the
+        # first two legs, yet it is a vertex of the hull: only the cut
+        # inequalities see it
+        points = [tuple(8 * x for x in v) for v in permutohedron(3).vertices] + [(-18, 5)]
+        assert (-18, 5) in oracle_vertices(points)
+        with pytest.raises(ValueError, match="cut functional"):
+            extreme_points(2, points)
+
+    def test_dimension_guard(self):
+        message = "dimension guard: ambient dimension 7 exceeds the bound 6"
+        with pytest.raises(ValueError, match=message):
+            extreme_points(7, [(0,) * 7])
+        for build, args in ((permutohedron, (8,)), (delta_j, (8, 3)), (root_segment, (8, 1, 2))):
+            with pytest.raises(ValueError, match=message):
+                build(*args)
 
 
 class TestRelations:

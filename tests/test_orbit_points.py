@@ -150,6 +150,17 @@ class TestAction:
         with pytest.raises(ValueError):
             act(GroupElement((1, 10)), make_point(A2, F5, [1, 1, 1, 1]))
 
+    def test_fraction_with_denominator_divisible_by_p_rejected(self):
+        # 1/5 has no image in F_5: a ValueError naming the value and p, not a
+        # ZeroDivisionError from inverting the reduced denominator
+        with pytest.raises(ValueError, match=r"1/5 .*F_5"):
+            F5.of(Fraction(1, 5))
+        with pytest.raises(ValueError, match=r"1/5 .*F_5"):
+            act(GroupElement((Fraction(1, 5),)), make_point(A1, F5, [1, 1]))
+        assert F5.of(Fraction(10, 3)) == 0  # only the denominator is checked
+        assert F5.of(Fraction(2, 3)) == F5.div(2, 3)
+        assert F5.parse("2/3") == F5.div(2, 3)
+
     def test_units_reduced_mod_p(self):
         p = make_point(A1, F7, [1, 1])
         assert act(GroupElement((9,)), p).coords == act(GroupElement((2,)), p).coords
