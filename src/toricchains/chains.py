@@ -119,12 +119,20 @@ def root_multiplicity(c: Sequence[Element], r: Element, field: Field) -> int:
     return mult
 
 
+def _check_root_scan(p: int) -> None:
+    """Root finding over F_p tries each of the p - 1 units."""
+    if p > _ROOT_FIELD_BOUND:
+        raise ValueError(
+            f"root scan guard: field size p = {p} exceeds the bound "
+            f"_ROOT_FIELD_BOUND = {_ROOT_FIELD_BOUND}"
+        )
+
+
 def unit_root_multiplicities(
     c: Sequence[Element], field: PrimeField
 ) -> Dict[int, int]:
     """Multiplicities of all roots in F_p^*, by exhaustive scan and division."""
-    if field.p > _ROOT_FIELD_BOUND:
-        raise ValueError("root scan guard exceeded")
+    _check_root_scan(field.p)
     out: Dict[int, int] = {}
     cur = poly_trim(c, field)
     for r in range(1, field.p):
@@ -357,8 +365,7 @@ def _nth_root(value: Element, n: int, field: Field) -> Optional[Element]:
     if field.is_zero(value):
         return None
     if isinstance(field, PrimeField):
-        if field.p > _ROOT_FIELD_BOUND:
-            raise ValueError("root scan guard exceeded")
+        _check_root_scan(field.p)
         for r in range(1, field.p):
             if field.pow(r, n) == value:
                 return r

@@ -13,28 +13,38 @@ inequalities) that raises instead of answering for any other point set.
 No linear program is solved.  A dimension guard, checked before any point
 is built, bounds the n! passes.
 
-The symbolic checks expand the chart sections (sum_{|I|=j} x_I)/x_{sigma(1..j)}
-in the chart coordinates t_i = x_{sigma(i+1)}/x_{sigma(i)} and verify the
-divisor valuation identity, the disjointness of the section and boundary
-divisors, the three-term cocycle of root-indexed sections, and the
-telescoping hyperplane identity behind the degree-n! covering.
+The symbolic checks verify the divisor valuation identity, the disjointness
+of the section and boundary divisors, the three-term cocycle of root-indexed
+sections, and the telescoping hyperplane identity behind the degree-n!
+covering.  The chart sections (sum_{|I|=j} x_I)/x_{sigma(1..j)} live on the
+n! charts of the permutohedral variety, with coordinates
+t_i = x_{sigma(i+1)}/x_{sigma(i)}.  The identities are checked on the
+identity chart only, as exponent -> coefficient dicts over the integers: the
+disjointness on chart_section, the hyperplane identity as one Laurent
+polynomial per marked index.  chart_certificate carries them to the other
+charts: the numerators are fixed by the generators (1 2) and (1 2 ... n) of
+S_n, and each generator's chart data is its relabelling x_t -> x_{sigma(t)}
+of the identity chart's data.  A chart-size guard bounds the 2^n subsets
+that the checks list.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .chains import ExtendedPoint
 from .fields import Element, Field, QQ
 from .orbit_points import is_nondegenerate
 from .root_fans import StackyFan, build_sigma_A, sigma_subsets
-from .symbolic import MultiPoly, RationalExpr
+from .symbolic import Exponent, MultiPoly
 
 _DIM_GUARD = 6
+_CHART_GUARD = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +213,22 @@ def minkowski_sum_all(polys: Sequence[LatticePolytope]) -> LatticePolytope:
     return functools.reduce(minkowski_sum, polys)
 
 
-def verify_minkowski(n: int) -> bool:
-    """Both decompositions of the permutohedron, by exact vertex equality:
-    as the sum of the hypersimplex translates, and as the sum of the root
-    segments l_{i_j i_k} for k < j under the identity ordering."""
+def permutohedron_decompositions(n: int) -> Tuple[LatticePolytope, bool]:
+    """The permutohedron, and whether both its decompositions hold by exact
+    vertex equality: as the sum of the hypersimplex translates, and as the
+    sum of the root segments l_{i_j i_k} for k < j under the identity
+    ordering."""
     perm = permutohedron(n)
     hyper = minkowski_sum_all([delta_j(n, j) for j in range(1, n)])
     if hyper.vertices != perm.vertices:
-        return False
+        return perm, False
     segments = [root_segment(n, j, k) for j in range(1, n + 1) for k in range(1, j)]
-    return minkowski_sum_all(segments).vertices == perm.vertices
+    return perm, minkowski_sum_all(segments).vertices == perm.vertices
+
+
+def verify_minkowski(n: int) -> bool:
+    """Both decompositions of the permutohedron hold."""
+    return permutohedron_decompositions(n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,44 +299,151 @@ def relation_holds(rel: SectionRelation, n: int) -> bool:
 def chart_section(n: int, sigma: Sequence[int], j: int) -> MultiPoly:
     """(sum_{|I|=j} x_I) / x_{sigma(1..j)} written in the chart coordinates
     t_i = x_{sigma(i+1)}/x_{sigma(i)}: a polynomial with all coefficients 1
-    and constant term 1."""
+    and constant term 1.
+
+    The subset I contributes prod_i t_i^(min(i, j) - |P & {1..i}|) with
+    P = {positions of I in sigma}.  As I runs over the j-subsets so does P,
+    so one pass over the j-subsets of positions gives every term, and the
+    polynomial is the same for every sigma."""
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("sigma must be a permutation of 1..n")
     if not 1 <= j <= n - 1:
         raise ValueError("need 1 <= j <= n-1")
-    position = {v: i + 1 for i, v in enumerate(sigma)}
-    poly = MultiPoly.zero(QQ, n - 1)
-    for I in itertools.combinations(range(1, n + 1), j):
-        positions = sorted(position[v] for v in I)
-        exp = []
-        for i in range(1, n):
-            e = sum(1 for m in positions if m > i) - max(0, j - i)
-            if e < 0:
-                raise RuntimeError("negative chart exponent: rewrite is broken")
-            exp.append(e)
-        poly = poly + MultiPoly.monomial(QQ, tuple(exp))
-    return poly
+    _check_chart_size(n)
+    terms: Dict[Exponent, int] = {}
+    for positions in itertools.combinations(range(1, n + 1), j):
+        exp = tuple(min(i, j) - bisect.bisect_right(positions, i) for i in range(1, n))
+        terms[exp] = terms.get(exp, 0) + 1
+    return MultiPoly(QQ, n - 1, {e: QQ.of(c) for e, c in terms.items()})
+
+
+def _check_chart_size(n: int) -> None:
+    """The identity checks list the 2^n subsets of {1..n}."""
+    if 2**n > _CHART_GUARD:
+        raise ValueError(
+            f"chart-size guard: n = {n} gives 2^{n} = {2**n} subset monomials, "
+            f"above the bound {_CHART_GUARD}"
+        )
+
+
+def _relabel(sigma: Sequence[int], exp: Exponent) -> Exponent:
+    """The exponent vector of x^exp under x_t -> x_{sigma(t)}."""
+    out = [0] * len(exp)
+    for t, e in zip(sigma, exp):
+        out[t - 1] = e
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class ChartData:
+    """Exponent vectors over x_1..x_n that the chart sigma contributes to the
+    section identities: the denominators x_{sigma(1..k)} (k = 0..n), the
+    chart coordinates t_i = x_{sigma(i+1)}/x_{sigma(i)} (i = 1..n-1), and the
+    factors y_k of the hyperplane sum at the marked index i (y[i-1][k])."""
+
+    denominators: Tuple[Exponent, ...]
+    coordinates: Tuple[Exponent, ...]
+    y: Tuple[Tuple[Exponent, ...], ...]
+
+    def relabel(self, sigma: Sequence[int]) -> "ChartData":
+        return ChartData(
+            tuple(_relabel(sigma, e) for e in self.denominators),
+            tuple(_relabel(sigma, e) for e in self.coordinates),
+            tuple(tuple(_relabel(sigma, e) for e in row) for row in self.y),
+        )
+
+
+def chart_data(n: int, sigma: Sequence[int]) -> ChartData:
+    """The chart data of sigma, built from the values sigma(1..n)."""
+    unit = [tuple(int(t == v) for t in range(1, n + 1)) for v in sigma]
+    prefix = [(0,) * n]
+    for u in unit:
+        prefix.append(tuple(map(add, prefix[-1], u)))
+    coordinates = tuple(tuple(map(sub, unit[i], unit[i - 1])) for i in range(1, n))
+    y = tuple(
+        tuple(
+            tuple(p + (i - k) * u - q for p, u, q in zip(prefix[k], unit[i - 1], prefix[i]))
+            for k in range(n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+    return ChartData(tuple(prefix), coordinates, y)
+
+
+def section_numerators(n: int) -> Tuple[Tuple[Exponent, ...], ...]:
+    """The numerators e_k = sum_{|I|=k} x_I (k = 0..n) as the exponent
+    vectors 1_I of their terms."""
+    return tuple(
+        tuple(
+            tuple(int(t in I) for t in range(1, n + 1))
+            for I in itertools.combinations(range(1, n + 1), k)
+        )
+        for k in range(n + 1)
+    )
+
+
+def s_n_generators(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The transposition (1 2) and the cycle (1 2 ... n), as sigma(1..n)."""
+    return (2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)
+
+
+def chart_certificate(
+    numerators: Sequence[Sequence[Exponent]],
+    identity: ChartData,
+    generator_charts: Dict[Tuple[int, ...], ChartData],
+) -> bool:
+    """Exact certificate that every chart's identities are the relabelling
+    x_t -> x_{sigma(t)} of the identity chart's.
+
+    For each generator g (keys of generator_charts): every numerator, as a
+    set of exponent vectors, is fixed by g, and g's chart data is g's
+    relabelling of the identity chart's data.  The permutations fixing a set
+    form a subgroup, so fixed by (1 2) and (1 2 ... n) means fixed by S_n.
+    The chart data reads sigma only through the values sigma(l) at fixed
+    positions, and the comparison on the generators checks that this reading
+    is the relabelling.  Relabelling is a ring automorphism, so an identity
+    that holds in the identity chart then holds in every chart."""
+    for g, data in generator_charts.items():
+        for terms in numerators:
+            if {_relabel(g, e) for e in terms} != set(terms):
+                return False
+        if data != identity.relabel(g):
+            return False
+    return True
+
+
+def _certified_identity_chart(n: int):
+    """The numerators and the identity chart's data, or None when
+    chart_certificate rejects them."""
+    _check_chart_size(n)
+    numerators = section_numerators(n)
+    identity = chart_data(n, tuple(range(1, n + 1)))
+    generators = {g: chart_data(n, g) for g in s_n_generators(n)}
+    if not chart_certificate(numerators, identity, generators):
+        return None
+    return numerators, identity
 
 
 def verify_cd_disjoint(n: int, negative_control: bool = False) -> bool:
     """The section divisor and the boundary divisor at the same index never
     meet: in every chart the section restricts to the constant 1 on the
-    boundary coordinate's zero locus."""
+    boundary coordinate's zero locus.  Checked on the identity chart, and
+    carried to the other n! - 1 charts by chart_certificate."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    for sigma in itertools.permutations(range(1, n + 1)):
-        for j in range(1, n):
-            section = chart_section(n, sigma, j)
-            if negative_control:
-                tj = MultiPoly.variable(QQ, n - 1, j - 1)
-                section = tj * section
-            restricted = MultiPoly(
-                QQ,
-                n - 1,
-                {e: c for e, c in section.terms.items() if e[j - 1] == 0},
-            )
-            if restricted != MultiPoly.const(QQ, n - 1, 1):
-                return False
+    if _certified_identity_chart(n) is None:
+        return False
+    identity = tuple(range(1, n + 1))
+    one = MultiPoly.const(QQ, n - 1, 1)
+    for j in range(1, n):
+        section = chart_section(n, identity, j)
+        if negative_control:
+            section = MultiPoly.variable(QQ, n - 1, j - 1) * section
+        restricted = MultiPoly(
+            QQ, n - 1, {e: c for e, c in section.terms.items() if e[j - 1] == 0}
+        )
+        if restricted != one:
+            return False
     return True
 
 
@@ -369,42 +492,28 @@ def verify_divisor_relation(n: int, negative_control: bool = False) -> bool:
 def verify_section_hyperplane(n: int, flip_signs: bool = False) -> bool:
     """The marked sections lie on the subscheme hyperplane: for every chart
     permutation sigma and every marked point index i the alternating sum
-    sum_k (-1)^k a_k^sigma y_k(s_{sigma(i)}) vanishes identically."""
-    if not 2 <= n <= 5:
-        raise ValueError("symbolic identity checked for 2 <= n <= 5")
-    f = QQ
-    for sigma in itertools.permutations(range(1, n + 1)):
-        sections = []
-        for k in range(n + 1):
-            if k == 0 or k == n:
-                sections.append(RationalExpr.const(f, n, 1))
-                continue
-            num = MultiPoly.zero(f, n)
-            for I in itertools.combinations(range(1, n + 1), k):
-                num = num + MultiPoly.monomial(
-                    f, tuple(1 if i + 1 in I else 0 for i in range(n))
-                )
-            den_exp = [0] * n
-            for l in range(1, k + 1):
-                den_exp[sigma[l - 1] - 1] += 1
-            sections.append(RationalExpr(num, MultiPoly.monomial(f, tuple(den_exp))))
-        for i in range(1, n + 1):
-            total = RationalExpr.const(f, n, 0)
-            for k in range(n + 1):
-                exp = [0] * n
-                exp[sigma[i - 1] - 1] += i - k
-                for l in range(1, k + 1):
-                    exp[sigma[l - 1] - 1] += 1
-                for l in range(1, i + 1):
-                    exp[sigma[l - 1] - 1] -= 1
-                y_k = RationalExpr.monomial_quotient(f, n, exp)
-                sign = 1 if flip_signs else (-1) ** k
-                term = sections[k] * y_k
-                if sign < 0:
-                    term = -term
-                total = total + term
-            if not total.is_zero():
-                return False
+    sum_k (-1)^k a_k^sigma y_k(s_{sigma(i)}) vanishes identically.
+
+    In the identity chart the sum for i is the Laurent polynomial
+    sum_k (-1)^k sum_{|I|=k} x^(1_I - 1_{1..k} + y_k), collected in one
+    exponent -> coefficient dict that must come out empty; chart_certificate
+    carries it to the other n! - 1 charts."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    chart = _certified_identity_chart(n)
+    if chart is None:
+        return False
+    numerators, identity = chart
+    for row in identity.y:
+        total: Dict[Exponent, int] = {}
+        for k, terms in enumerate(numerators):
+            sign = 1 if flip_signs or k % 2 == 0 else -1
+            shift = tuple(map(sub, row[k], identity.denominators[k]))
+            for e in terms:
+                key = tuple(map(add, e, shift))
+                total[key] = total.get(key, 0) + sign
+        if any(total.values()):
+            return False
     return True
 
 

@@ -129,6 +129,10 @@ JSON_COMMANDS = (
     ("chain parity --coeffs 1,3,1 --json", "chain"),
     ("chain embed --family C --n 2 --coords 2,3,4,5 --field F7 --json", "chain"),
     ("verify all --n 4 --json", "verify_report"),
+    ("fan check --family A --n 3 --json", "fan_check"),
+    ("polytope permutohedron --n 4 --json", "polytope"),
+    ("polytope delta --n 4 --j 2 --json", "polytope"),
+    ("polytope minkowski --n 4 --json", "polytope"),
 )
 
 
@@ -136,8 +140,8 @@ JSON_COMMANDS = (
     "command, schema_name", JSON_COMMANDS, ids=[c.split()[1] for c, _ in JSON_COMMANDS]
 )
 def test_point_json_matches_schema_and_reruns_byte_identical(command, schema_name):
-    """Every listed --json command (point, fan, chain and verify) in two fresh
-    interpreters: stdout byte-identical and valid against its schema."""
+    """Every listed --json command (point, fan, chain, polytope and verify) in
+    two fresh interpreters: stdout byte-identical and valid against its schema."""
     schema = json.loads((ROOT / "schemas" / f"{schema_name}.schema.json").read_text())
     outs = []
     for hash_seed in (0, 1):
@@ -184,6 +188,13 @@ class TestChainCommands:
         assert code == 2 and captured.out == ""
         assert "1/5" in captured.err and "F_5" in captured.err
 
+    def test_root_scan_guard_names_p_and_bound(self, capsys):
+        code = main("chain from-poly --poly 3,1,1 --field F100003".split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "root scan guard" in captured.err and "_ROOT_FIELD_BOUND" in captured.err
+        assert "100003" in captured.err and "100000" in captured.err
+
     def test_parity(self, capsys):
         code, out = run(capsys, *"chain parity --coeffs 1,3,1 --json".split())
         assert json.loads(out)["parity"] == "+"
@@ -222,6 +233,20 @@ class TestPolytopeAndVerify:
         code, out = run(capsys, *"verify divisor --n 4 --json".split())
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_verify_identities_past_the_old_caps(self, capsys):
+        for what in ("cd-disjoint", "hyperplane"):
+            code, out = run(capsys, "verify", what, "--n", "8", "--json")
+            assert code == 0
+            assert [c["n"] for c in json.loads(out)["cases"]] == list(range(2, 9))
+
+    def test_verify_chart_size_guard(self, capsys):
+        for what in ("cd-disjoint", "hyperplane"):
+            code = main(["verify", what, "--n", "15"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "chart-size guard" in captured.err
+            assert "n = 15" in captured.err and "16384" in captured.err
 
     def test_verify_fan_map_family(self, capsys):
         code, out = run(capsys, *"verify fan-map --n 2 --family C --json".split())

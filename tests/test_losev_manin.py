@@ -1,6 +1,7 @@
 """Permutohedral polytopes, product relations, chart sections, the symbolic
 identities, and the point-level forgetting map."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -17,6 +18,8 @@ from toricchains.fields import GF, QQ
 from toricchains.losev_manin import (
     LatticePolytope,
     SigmaPoint,
+    chart_certificate,
+    chart_data,
     chart_section,
     delta_j,
     extreme_points,
@@ -26,6 +29,8 @@ from toricchains.losev_manin import (
     relation_holds,
     relations_generator,
     root_segment,
+    s_n_generators,
+    section_numerators,
     sigma_forget,
     sigma_section_values,
     verify_a_data_cocycle,
@@ -35,6 +40,7 @@ from toricchains.losev_manin import (
     verify_section_hyperplane,
 )
 from toricchains.root_fans import build_sigma_A, sigma_subsets
+from toricchains.symbolic import MultiPoly, RationalExpr
 
 F11 = GF(11)
 
@@ -140,6 +146,63 @@ def segment_points(n, i, j):
 
 def sum_points(P, Q):
     return [tuple(map(sum, zip(p, q))) for p in P for q in Q]
+
+
+def chart_section_oracle(n, sigma, j):
+    """The chart section summed monomial by monomial, positions read off
+    sigma for each subset I of values."""
+    position = {v: i + 1 for i, v in enumerate(sigma)}
+    poly = MultiPoly.zero(QQ, n - 1)
+    for I in itertools.combinations(range(1, n + 1), j):
+        positions = sorted(position[v] for v in I)
+        exp = tuple(sum(1 for m in positions if m > i) - max(0, j - i) for i in range(1, n))
+        poly = poly + MultiPoly.monomial(QQ, exp)
+    return poly
+
+
+def cd_disjoint_oracle(n, negative_control=False):
+    """verify_cd_disjoint checked in each of the n! charts."""
+    one = MultiPoly.const(QQ, n - 1, 1)
+    for sigma in itertools.permutations(range(1, n + 1)):
+        for j in range(1, n):
+            section = chart_section_oracle(n, sigma, j)
+            if negative_control:
+                section = MultiPoly.variable(QQ, n - 1, j - 1) * section
+            restricted = {e: c for e, c in section.terms.items() if e[j - 1] == 0}
+            if MultiPoly(QQ, n - 1, restricted) != one:
+                return False
+    return True
+
+
+def section_hyperplane_oracle(n, flip_signs=False):
+    """verify_section_hyperplane checked in each of the n! charts, with
+    rational expressions compared by cross-multiplication."""
+    for sigma in itertools.permutations(range(1, n + 1)):
+        sections = []
+        for k in range(n + 1):
+            num = MultiPoly.zero(QQ, n)
+            for I in itertools.combinations(range(1, n + 1), k):
+                num = num + MultiPoly.monomial(QQ, tuple(int(i + 1 in I) for i in range(n)))
+            den_exp = [0] * n
+            for l in range(1, k + 1):
+                den_exp[sigma[l - 1] - 1] += 1
+            sections.append(RationalExpr(num, MultiPoly.monomial(QQ, den_exp)))
+        for i in range(1, n + 1):
+            total = RationalExpr.const(QQ, n, 0)
+            for k in range(n + 1):
+                exp = [0] * n
+                exp[sigma[i - 1] - 1] += i - k
+                for l in range(1, k + 1):
+                    exp[sigma[l - 1] - 1] += 1
+                for l in range(1, i + 1):
+                    exp[sigma[l - 1] - 1] -= 1
+                term = sections[k] * RationalExpr.monomial_quotient(QQ, n, exp)
+                if not flip_signs and k % 2:
+                    term = -term
+                total = total + term
+            if not total.is_zero():
+                return False
+    return True
 
 
 class TestPolytopes:
@@ -343,8 +406,81 @@ class TestChartSections:
         with pytest.raises(ValueError):
             chart_section(3, (1, 2, 3), 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_oracle_in_every_chart(self, n):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            for j in range(1, n):
+                assert chart_section(n, sigma, j) == chart_section_oracle(n, sigma, j)
+
+
+class TestChartCertificate:
+    @staticmethod
+    def parts(n):
+        identity = chart_data(n, tuple(range(1, n + 1)))
+        generators = {g: chart_data(n, g) for g in s_n_generators(n)}
+        return list(section_numerators(n)), identity, generators
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_accepts_built_data(self, n):
+        assert chart_certificate(*self.parts(n))
+
+    def test_chart_data_is_the_relabelling_for_every_sigma(self):
+        for n in (2, 3, 4, 5):
+            identity = chart_data(n, tuple(range(1, n + 1)))
+            for sigma in itertools.permutations(range(1, n + 1)):
+                assert chart_data(n, sigma) == identity.relabel(sigma)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rejects_numerator_with_a_subset_dropped(self, n):
+        for k in range(1, n):
+            for drop in range(math.comb(n, k)):
+                numerators, identity, generators = self.parts(n)
+                numerators[k] = numerators[k][:drop] + numerators[k][drop + 1:]
+                assert not chart_certificate(numerators, identity, generators)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rejects_chart_with_a_y_index_moved(self, n):
+        for g in s_n_generators(n):
+            for i, k in itertools.product(range(n), range(n + 1)):
+                numerators, identity, generators = self.parts(n)
+                data = generators[g]
+                e = list(data.y[i][k])
+                a = next((t for t in range(n) if e[t]), 0)
+                e[a] -= 1
+                e[(a + 1) % n] += 1
+                row = data.y[i][:k] + (tuple(e),) + data.y[i][k + 1:]
+                y = data.y[:i] + (row,) + data.y[i + 1:]
+                generators[g] = dataclasses.replace(data, y=y)
+                assert not chart_certificate(numerators, identity, generators)
+
 
 class TestIdentities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cd_disjoint_matches_oracle(self, n):
+        assert verify_cd_disjoint(n) is cd_disjoint_oracle(n) is True
+        assert verify_cd_disjoint(n, negative_control=True) is False
+        assert cd_disjoint_oracle(n, negative_control=True) is False
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_hyperplane_matches_oracle(self, n):
+        assert verify_section_hyperplane(n) is section_hyperplane_oracle(n) is True
+        assert verify_section_hyperplane(n, flip_signs=True) is False
+        assert section_hyperplane_oracle(n, flip_signs=True) is False
+
+    def test_identities_beyond_the_oracle(self):
+        for n in range(6, 11):
+            assert verify_cd_disjoint(n) and verify_section_hyperplane(n)
+            assert not verify_cd_disjoint(n, negative_control=True)
+            assert not verify_section_hyperplane(n, flip_signs=True)
+
+    def test_chart_size_guard(self):
+        message = r"chart-size guard: n = 15 gives 2\^15 = 32768 subset monomials, above the bound 16384"
+        for check in (verify_cd_disjoint, verify_section_hyperplane):
+            with pytest.raises(ValueError, match=message):
+                check(15)
+        with pytest.raises(ValueError, match=message):
+            chart_section(15, tuple(range(1, 16)), 1)
+
     def test_cd_disjoint(self):
         for n in (2, 3, 4, 5):
             assert verify_cd_disjoint(n)
