@@ -27,7 +27,6 @@ from .root_fans import (
     canonical_stack,
     cartan_matrix,
     check_fan,
-    cones_pairwise_faces,
     dg_group,
     fan_from_json,
     fan_morphism_check,

@@ -4,9 +4,12 @@ A fan here is a simplicial fan in Z^rank together with a chosen integer
 generator per ray, encoded by the matrix whose columns are the ray
 generators.  The main constructions are the rank-n fans with 2n rays built
 from the block matrix (-C | I_n), C a Cartan matrix, and the permutohedral
-fan of the Losev-Manin space.  Everything is exact; validity checks
-(simplicial, pure, wall condition, completeness) are integer certificates
-read off one fraction-free elimination per maximal cone.
+fan of the Losev-Manin space.  Everything is exact.  One fraction-free
+elimination per cone gives its facet functionals, and every cone question
+reads them: the validity checks (simplicial, pure, wall condition,
+completeness), cone membership and the check that a lattice map sends
+cones into cones.  A cone-count guard, ``_CONE_GUARD``, bounds the maximal
+cones a construction may list and trips before the first one is built.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_linalg import (
@@ -23,12 +26,11 @@ from .exact_linalg import (
     IntMatrix,
     bareiss,
     cokernel,
-    invert_rational,
     snf,
-    solve_rational,
 )
 
 FAMILY_TAGS = ("A", "B", "Bcan", "C", "Cminus", "SigmaA")
+_CONE_GUARD = 2**14
 
 
 @dataclass(frozen=True)
@@ -195,11 +197,21 @@ def _upsilon_labels(family: FanFamily) -> Tuple[str, ...]:
     return tuple(f"rho_{i}" for i in idx) + tuple(f"tau_{i}" for i in idx)
 
 
+def _check_cone_count(name: str, formula: str, count: int) -> None:
+    """The constructions list every maximal cone."""
+    if count > _CONE_GUARD:
+        raise ValueError(
+            f"cone-count guard: {name} has {formula} = {count} maximal cones, "
+            f"above the bound _CONE_GUARD = {_CONE_GUARD}"
+        )
+
+
 def build_upsilon(family: FanFamily) -> StackyFan:
     """The stacky fan with rays the columns of (-C | I) and the 2^k maximal
     cones picking, for every index i, either the rho_i ray or the tau_i ray."""
     beta = upsilon_beta(family)
     k = beta.rows  # number of rho/tau pairs
+    _check_cone_count(f"{family.tag}_{family.n}", f"2^{k}", 2**k)
     rays = tuple(beta.col(j) for j in range(beta.cols))
     cones = []
     for mask in range(2**k):
@@ -237,6 +249,7 @@ def build_sigma_A(n: int) -> StackyFan:
     """
     if n < 2:
         raise ValueError("n >= 2 required")
+    _check_cone_count(f"SigmaA_{n}", f"{n}!", math.factorial(n))
     subsets = sigma_subsets(n)
     index = {frozenset(s): i for i, s in enumerate(subsets)}
     rays = []
@@ -275,24 +288,18 @@ def build_sigma_A(n: int) -> StackyFan:
 
 def infer_family(fan: StackyFan) -> Optional[FanFamily]:
     """Recover the construction a fan came from, if it matches one exactly."""
-    for tag in ("A", "B", "Bcan", "C", "Cminus"):
-        ns = {"Cminus": fan.rank + 1}.get(tag, fan.rank)
+    candidates = [(tag, fan.rank) for tag in ("A", "B", "Bcan", "C")]
+    candidates.append(("Cminus", fan.rank + 1))
+    if fan.num_rays == 2 ** (fan.rank + 1) - 2:
+        candidates.append(("SigmaA", fan.rank + 1))
+    for tag, n in candidates:
         try:
-            fam = FanFamily(tag, ns)
-        except ValueError:
-            continue
-        try:
-            candidate = build_upsilon(fam)
+            fam = FanFamily(tag, n)
+            candidate = build_sigma_A(n) if tag == "SigmaA" else build_upsilon(fam)
         except ValueError:
             continue
         if candidate.rays == fan.rays and candidate.max_cones == fan.max_cones:
             return fam
-    if fan.rank >= 1:
-        n = fan.rank + 1
-        if fan.num_rays == 2**n - 2:
-            candidate = build_sigma_A(n)
-            if candidate.rays == fan.rays and candidate.max_cones == fan.max_cones:
-                return FanFamily("SigmaA", n)
     return None
 
 
@@ -301,33 +308,47 @@ def infer_family(fan: StackyFan) -> Optional[FanFamily]:
 # ---------------------------------------------------------------------------
 
 
-def cone_contains(fan: StackyFan, cone: Sequence[int], vector: Sequence[int]) -> bool:
-    """Exact membership of an integer vector in the cone spanned by the
-    given rays (which must be linearly independent)."""
-    rows = [[fan.rays[j][i] for j in cone] for i in range(fan.rank)]
-    sol = solve_rational(rows, list(vector))
-    return sol is not None and all(x >= 0 for x in sol)
+# A cone's facet functionals: (inequalities, equations).
+_Functionals = Tuple[List[List[int]], List[List[int]]]
 
 
-def _facet_functionals(fan: StackyFan, cone: Sequence[int]) -> Optional[List[List[int]]]:
-    """For a full-dimensional simplicial cone, the rows of |det| * B^-1, B
-    the matrix with the cone's rays as columns: row i vanishes on every ray
-    but the i-th and is positive on that one, so the cone is the set where
-    all rows are >= 0.  None when the rays are dependent; ``[]`` when they
-    are independent but too few to span."""
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _facet_functionals(fan: StackyFan, cone: Sequence[int]) -> _Functionals:
+    """The pair ``(inequalities, equations)`` of a cone with independent
+    rays, read off one elimination of ``[B | I]``, B the matrix with the
+    cone's rays as columns.
+
+    Inequality i is a pivot row of the right block, signed so that it is
+    positive on the i-th ray; it vanishes on every other ray.  The equations
+    are the right-block rows past the rank, a basis of the functionals that
+    vanish on every ray; they are empty exactly when the cone is
+    full-dimensional.  The cone is the set where every inequality is >= 0
+    and every equation is 0.  Raises ValueError when the rays are dependent.
+    """
     k = len(cone)
     rows = [[fan.rays[j][i] for j in cone] + [int(i == c) for c in range(fan.rank)]
             for i in range(fan.rank)]
     m, pivots, d, _ = bareiss(rows, k)
     if len(pivots) < k:
-        return None
-    if k < fan.rank:
-        return []
-    return [[x if d > 0 else -x for x in row[k:]] for row in m]
+        raise ValueError(f"cone {tuple(cone)} has linearly dependent rays")
+    s = 1 if d > 0 else -1
+    return [[s * x for x in row[k:]] for row in m[:k]], [row[k:] for row in m[k:]]
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+def _in_cone(functionals: _Functionals, v: Sequence[int]) -> bool:
+    inequalities, equations = functionals
+    return all(_dot(u, v) >= 0 for u in inequalities) and all(
+        _dot(e, v) == 0 for e in equations
+    )
+
+
+def cone_contains(fan: StackyFan, cone: Sequence[int], vector: Sequence[int]) -> bool:
+    """Exact membership of an integer vector in the cone spanned by the
+    given rays.  Raises ValueError when the rays are dependent."""
+    return _in_cone(_facet_functionals(fan, cone), vector)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +387,12 @@ def check_fan(fan: StackyFan) -> FanReport:
     condition holds and that number is one, so the cones cover space once
     and form a complete fan.
     """
-    functionals = {cone: _facet_functionals(fan, cone) for cone in fan.max_cones}
+    functionals: Dict[Tuple[int, ...], Optional[List[List[int]]]] = {}
+    for cone in fan.max_cones:
+        try:
+            functionals[cone] = _facet_functionals(fan, cone)[0]
+        except ValueError:  # dependent rays
+            functionals[cone] = None
     simplicial = all(f is not None for f in functionals.values())
     pure = all(len(cone) == fan.rank for cone in fan.max_cones)
 
@@ -407,84 +433,6 @@ def fan_faces(fan: StackyFan) -> List[Tuple[int, ...]]:
             for sub in itertools.combinations(cone, size):
                 faces.add(sub)
     return sorted(faces, key=lambda f: (len(f), f))
-
-
-def cones_pairwise_faces(fan: StackyFan) -> bool:
-    """Exact check that every pairwise intersection of maximal cones is the
-    cone on the shared rays (hence a common face).  Cost grows quickly with
-    the number of cones; intended for desk-scale fans."""
-    inverses: Dict[Tuple[int, ...], List[List[Fraction]]] = {}
-    for cone in fan.max_cones:
-        if len(cone) != fan.rank:
-            raise ValueError("pairwise face check requires a pure fan")
-        rows = [[fan.rays[j][i] for j in cone] for i in range(fan.rank)]
-        inverses[tuple(cone)] = invert_rational(rows)
-    for c1, c2 in itertools.combinations(fan.max_cones, 2):
-        shared = set(c1) & set(c2)
-        inv2 = inverses[tuple(c2)]
-        rays1 = [fan.rays[i] for i in c1]
-        # M columns: coordinates of c1's rays in c2's ray basis.
-        m = [
-            [sum(inv2[i][k] * Fraction(rays1[j][k]) for k in range(fan.rank))
-             for j in range(fan.rank)]
-            for i in range(fan.rank)
-        ]
-        for pos, ray_idx in enumerate(c1):
-            if ray_idx in shared:
-                continue
-            # Is there a point of cone(c1) inside cone(c2) using ray `pos`?
-            ineqs = []
-            for i in range(fan.rank):
-                row = [Fraction(0)] * fan.rank
-                row[i] = Fraction(1)
-                ineqs.append((row, Fraction(0)))
-            for i in range(fan.rank):
-                ineqs.append((list(m[i]), Fraction(0)))
-            strict = [Fraction(0)] * fan.rank
-            strict[pos] = Fraction(1)
-            ineqs.append((strict, Fraction(1)))
-            if _fm_feasible(ineqs):
-                return False
-    return True
-
-
-def _fm_feasible(ineqs: List[Tuple[List[Fraction], Fraction]]) -> bool:
-    """Fourier-Motzkin feasibility of the system {row . x >= rhs}."""
-
-    def normalize(row, rhs):
-        # Scale rows to a canonical form for deduplication only.
-        nz = [abs(x) for x in row if x != 0]
-        if nz:
-            m = max(nz)
-            row = [x / m for x in row]
-            rhs = rhs / m
-        return tuple(row), rhs
-
-    nvars = len(ineqs[0][0]) if ineqs else 0
-    system = ineqs
-    for var in range(nvars):
-        pos, neg, zero = [], [], []
-        for row, rhs in system:
-            c = row[var]
-            if c > 0:
-                pos.append((row, rhs))
-            elif c < 0:
-                neg.append((row, rhs))
-            else:
-                zero.append((row, rhs))
-        new = {normalize(r, b) for r, b in zero}
-        for rp, bp in pos:
-            cp = rp[var]
-            for rn, bn in neg:
-                cn = rn[var]
-                # Eliminate: cp > 0 >= needs x >= (bp - rest)/cp; cn < 0 gives
-                # upper bound; combine to a var-free inequality.
-                row = [a / cp - b / cn for a, b in zip(rp, rn)]
-                rhs = bp / cp - bn / cn
-                row[var] = Fraction(0)
-                new.add(normalize(row, rhs))
-        system = [(list(r), b) for r, b in new]
-    return all(rhs <= 0 for _, rhs in system)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +485,14 @@ def weight_matrix(fan: StackyFan) -> IntMatrix:
 
 
 def fan_morphism_check(src: StackyFan, dst: StackyFan, L: IntMatrix) -> bool:
-    """True iff the lattice map L sends every cone of src into one cone of dst."""
+    """True iff the lattice map L sends every cone of src into one cone of
+    dst.  Raises ValueError when a cone of dst has dependent rays."""
     if L.cols != src.rank or L.rows != dst.rank:
         raise ValueError("lattice map shape does not match fan ranks")
+    functionals = [_facet_functionals(dst, dcone) for dcone in dst.max_cones]
     for cone in src.max_cones:
         images = [L.mul_vector(list(src.rays[i])) for i in cone]
-        if not any(
-            all(cone_contains(dst, dcone, img) for img in images)
-            for dcone in dst.max_cones
-        ):
+        if not any(all(_in_cone(f, img) for img in images) for f in functionals):
             return False
     return True
 

@@ -58,6 +58,22 @@ class TestFanCommands:
         code, _ = run(capsys, "fan", "check", str(path), "--json")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "family, n, message",
+        [("A", 15, "A_15 has 2^15 = 32768"), ("SigmaA", 8, "SigmaA_8 has 8! = 40320")],
+        ids=["A15", "SigmaA8"],
+    )
+    def test_cone_count_guard_trips_before_building(self, family, n, message):
+        proc = run_subprocess(["fan", "build", "--family", family, "--n", str(n)], 0, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"cone-count guard: {message} maximal cones" in proc.stderr
+        assert "above the bound _CONE_GUARD = 16384" in proc.stderr
+
+    def test_largest_admitted_fan_builds(self):
+        proc = run_subprocess("fan build --family A --n 14".split(), 0, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["max_cones"]) == 2**14
+
 
 class TestPointCommands:
     def test_stab(self, capsys):
@@ -129,6 +145,8 @@ JSON_COMMANDS = (
     ("chain parity --coeffs 1,3,1 --json", "chain"),
     ("chain embed --family C --n 2 --coords 2,3,4,5 --field F7 --json", "chain"),
     ("verify all --n 4 --json", "verify_report"),
+    ("verify fan-map --family C --n 3 --json", "verify_report"),
+    ("verify fan-map --n 3 --json", "verify_report"),
     ("fan check --family A --n 3 --json", "fan_check"),
     ("polytope permutohedron --n 4 --json", "polytope"),
     ("polytope delta --n 4 --j 2 --json", "polytope"),

@@ -1,11 +1,15 @@
 """Fan constructions, validation, group data and morphisms."""
 
+import itertools
 import json
 import math
+import random
+from fractions import Fraction
+from typing import Dict, List, Tuple
 
 import pytest
 
-from toricchains.exact_linalg import IntMatrix, hnf
+from toricchains.exact_linalg import IntMatrix, hnf, invert_rational, solve_rational
 from toricchains.root_fans import (
     FanFamily,
     StackyFan,
@@ -15,8 +19,9 @@ from toricchains.root_fans import (
     canonical_stack,
     cartan_matrix,
     check_fan,
-    cones_pairwise_faces,
+    cone_contains,
     dg_group,
+    fan_faces,
     fan_from_json,
     fan_morphism_check,
     standard_fan_map,
@@ -178,6 +183,138 @@ def _fold():
     return StackyFan(2, rays, tuple("abcdf"), cones)
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the code paths the facet-functional kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def cones_pairwise_faces(fan: StackyFan) -> bool:
+    """Exact check that every pairwise intersection of maximal cones is the
+    cone on the shared rays (hence a common face).  Cost grows quickly with
+    the number of cones; intended for desk-scale fans."""
+    inverses: Dict[Tuple[int, ...], List[List[Fraction]]] = {}
+    for cone in fan.max_cones:
+        if len(cone) != fan.rank:
+            raise ValueError("pairwise face check requires a pure fan")
+        rows = [[fan.rays[j][i] for j in cone] for i in range(fan.rank)]
+        inverses[tuple(cone)] = invert_rational(rows)
+    for c1, c2 in itertools.combinations(fan.max_cones, 2):
+        shared = set(c1) & set(c2)
+        inv2 = inverses[tuple(c2)]
+        rays1 = [fan.rays[i] for i in c1]
+        # M columns: coordinates of c1's rays in c2's ray basis.
+        m = [
+            [sum(inv2[i][k] * Fraction(rays1[j][k]) for k in range(fan.rank))
+             for j in range(fan.rank)]
+            for i in range(fan.rank)
+        ]
+        for pos, ray_idx in enumerate(c1):
+            if ray_idx in shared:
+                continue
+            # Is there a point of cone(c1) inside cone(c2) using ray `pos`?
+            ineqs = []
+            for i in range(fan.rank):
+                row = [Fraction(0)] * fan.rank
+                row[i] = Fraction(1)
+                ineqs.append((row, Fraction(0)))
+            for i in range(fan.rank):
+                ineqs.append((list(m[i]), Fraction(0)))
+            strict = [Fraction(0)] * fan.rank
+            strict[pos] = Fraction(1)
+            ineqs.append((strict, Fraction(1)))
+            if _fm_feasible(ineqs):
+                return False
+    return True
+
+
+def _fm_feasible(ineqs: List[Tuple[List[Fraction], Fraction]]) -> bool:
+    """Fourier-Motzkin feasibility of the system {row . x >= rhs}."""
+
+    def normalize(row, rhs):
+        # Scale rows to a canonical form for deduplication only.
+        nz = [abs(x) for x in row if x != 0]
+        if nz:
+            m = max(nz)
+            row = [x / m for x in row]
+            rhs = rhs / m
+        return tuple(row), rhs
+
+    nvars = len(ineqs[0][0]) if ineqs else 0
+    system = ineqs
+    for var in range(nvars):
+        pos, neg, zero = [], [], []
+        for row, rhs in system:
+            c = row[var]
+            if c > 0:
+                pos.append((row, rhs))
+            elif c < 0:
+                neg.append((row, rhs))
+            else:
+                zero.append((row, rhs))
+        new = {normalize(r, b) for r, b in zero}
+        for rp, bp in pos:
+            cp = rp[var]
+            for rn, bn in neg:
+                cn = rn[var]
+                # Eliminate: cp > 0 >= needs x >= (bp - rest)/cp; cn < 0 gives
+                # upper bound; combine to a var-free inequality.
+                row = [a / cp - b / cn for a, b in zip(rp, rn)]
+                rhs = bp / cp - bn / cn
+                row[var] = Fraction(0)
+                new.add(normalize(row, rhs))
+        system = [(list(r), b) for r, b in new]
+    return all(rhs <= 0 for _, rhs in system)
+
+
+def _ray_rows(fan: StackyFan, cone) -> List[List[int]]:
+    return [[fan.rays[j][i] for j in cone] for i in range(fan.rank)]
+
+
+def solve_contains(fan: StackyFan, cone, vector) -> bool:
+    """Membership read off one solution of B x = v: exact when the rays are
+    independent, since the solution is then unique."""
+    sol = solve_rational(_ray_rows(fan, cone), list(vector))
+    return sol is not None and all(x >= 0 for x in sol)
+
+
+def solve_morphism_check(src: StackyFan, dst: StackyFan, L: IntMatrix) -> bool:
+    """The per-pair loop: one solve per (image ray, target cone)."""
+    for cone in src.max_cones:
+        images = [L.mul_vector(list(src.rays[i])) for i in cone]
+        if not any(
+            all(solve_contains(dst, dcone, img) for img in images)
+            for dcone in dst.max_cones
+        ):
+            return False
+    return True
+
+
+def _membership_queries(fan: StackyFan, face, rng: random.Random):
+    """Seeded vectors of four kinds for one face: nonnegative combinations of
+    its rays, combinations with one negative coefficient, integer vectors in
+    its span and integer vectors off it."""
+    rays = [fan.rays[j] for j in face]
+
+    def combo(coeffs):
+        return [sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(fan.rank)]
+
+    queries = []
+    for _ in range(3):
+        queries.append(("nonnegative", combo([rng.randint(0, 3) for _ in rays])))
+        if rays:
+            coeffs = [rng.randint(0, 3) for _ in rays]
+            coeffs[rng.randrange(len(rays))] = -rng.randint(1, 3)
+            queries.append(("one negative", combo(coeffs)))
+        queries.append(("span", combo([rng.randint(-3, 3) for _ in rays])))
+        if len(face) < fan.rank:
+            while True:
+                v = [rng.randint(-3, 3) for _ in range(fan.rank)]
+                if solve_rational(_ray_rows(fan, face), v) is None:
+                    break
+            queries.append(("off span", v))
+    return queries
+
+
 class TestSigmaFan:
     def test_counts(self):
         for n, rays, cones in ((2, 2, 2), (3, 6, 6), (4, 14, 24)):
@@ -205,6 +342,89 @@ class TestSigmaFan:
     def test_check_fan_n5_and_n6(self):
         assert check_fan(build_sigma_A(5)).all_ok
         assert check_fan(build_sigma_A(6)).all_ok
+
+
+class TestConeMembership:
+    @pytest.mark.parametrize(
+        "fan",
+        [
+            build_upsilon(FanFamily("A", 3)),
+            build_upsilon(FanFamily("B", 3)),
+            build_upsilon(FanFamily("C", 3)),
+            build_sigma_A(4),
+        ],
+        ids=["A3", "B3", "C3", "SigmaA4"],
+    )
+    def test_agrees_with_solve_oracle_on_every_face(self, fan):
+        rng = random.Random(f"cone_contains/{fan.family}")
+        kinds = set()
+        for face in fan_faces(fan):
+            for kind, v in _membership_queries(fan, face, rng):
+                expected = solve_contains(fan, face, v)
+                assert cone_contains(fan, face, v) == expected, (face, kind, v)
+                if kind in ("nonnegative", "one negative", "off span"):
+                    assert expected == (kind == "nonnegative"), (face, kind, v)
+                kinds.add(kind)
+        assert kinds == {"nonnegative", "one negative", "span", "off span"}
+
+    def test_dependent_rays_raise(self):
+        # The solve oracle answers from one arbitrary solution and says
+        # False, yet (0, 1) is the third ray.
+        fan = StackyFan(2, ((1, 0), (1, 1), (0, 1)), ("a", "b", "c"), ((0, 1, 2),))
+        assert not solve_contains(fan, (0, 1, 2), (0, 1))
+        with pytest.raises(ValueError, match="dependent"):
+            cone_contains(fan, (0, 1, 2), (0, 1))
+        with pytest.raises(ValueError, match="dependent"):
+            fan_morphism_check(build_upsilon(FanFamily("A", 2)), fan, IntMatrix.identity(2))
+        # check_fan reports them in its flag instead.
+        report = check_fan(StackyFan(2, ((1, 0), (2, 0)), ("a", "b"), ((0, 1),)))
+        assert not report.simplicial and report.pure
+
+
+class TestFanMapsAgainstOracle:
+    @pytest.mark.parametrize("tag, n", [(t, n) for t in ("C", "B") for n in range(1, 5)])
+    def test_standard_map_and_negation(self, tag, n):
+        L, src, dst = standard_fan_map(tag, n)
+        minus = IntMatrix(L.rows, L.cols, tuple(-x for x in L.entries))
+        assert fan_morphism_check(src, dst, L) and solve_morphism_check(src, dst, L)
+        assert fan_morphism_check(src, dst, minus) == solve_morphism_check(src, dst, minus)
+        # At n = 1 the source is a line, and -1 swaps its two cones.
+        assert fan_morphism_check(src, dst, minus) == (n == 1)
+
+    def test_one_cone_across_a_wall(self):
+        fan = build_upsilon(FanFamily("A", 2))
+        L = IntMatrix.from_rows([[-2, 0], [1, 2]])
+        mapped = [
+            any(
+                all(cone_contains(fan, d, L.mul_vector(list(fan.rays[i]))) for i in cone)
+                for d in fan.max_cones
+            )
+            for cone in fan.max_cones
+        ]
+        assert sorted(mapped) == [False, True, True, True]
+        assert not fan_morphism_check(fan, fan, L)
+        assert not solve_morphism_check(fan, fan, L)
+
+
+class TestConeCountGuard:
+    def test_largest_admitted_fans_build(self):
+        assert len(build_upsilon(FanFamily("A", 14)).max_cones) == 2**14
+        assert len(build_sigma_A(7).max_cones) == math.factorial(7)
+
+    def test_guard_trips_before_building(self):
+        with pytest.raises(ValueError, match=r"cone-count guard: A_15 has 2\^15 = 32768 "
+                           r"maximal cones, above the bound _CONE_GUARD = 16384"):
+            build_upsilon(FanFamily("A", 15))
+        with pytest.raises(ValueError, match="SigmaA_8 has 8! = 40320 maximal cones"):
+            build_sigma_A(8)
+        with pytest.raises(ValueError, match="cone-count guard: A_16"):
+            standard_fan_map("B", 8)
+
+    def test_infer_family_skips_guarded_candidates(self):
+        # Rank 7 with 2^8 - 2 rays makes SigmaA_8 a candidate, past the guard.
+        rays = tuple((i + 1,) + (0,) * 6 for i in range(254))
+        fan = StackyFan(7, rays, tuple(f"r{i}" for i in range(254)), ((0,),))
+        assert fan_from_json(fan.to_json()).family is None
 
 
 class TestGroupData:
