@@ -308,7 +308,7 @@ def _verify_cases(name: str, n: int) -> List[dict]:
         for k in range(2, n + 1):
             cases.append({"check": name, "n": k, "ok": lm.verify_section_hyperplane(k)})
     elif name == "minkowski":
-        for k in range(2, min(n, 5) + 1):
+        for k in range(2, min(n, 7) + 1):
             cases.append({"check": name, "n": k, "ok": lm.verify_minkowski(k)})
     elif name == "divisor":
         for k in range(2, min(n, 6) + 1):

@@ -5,13 +5,14 @@ Lattice polytopes live in the root-lattice coordinates obtained by dropping
 the last basis vector of Z^n (so a point sum_i a_i u_i with sum a_i = 0 is
 stored as (a_1, ..., a_{n-1})).  Every polytope here (the permutohedron,
 the hypersimplices, the root segments and their Minkowski sums) is a
-generalized permutohedron: its normal fan coarsens the braid fan (Postnikov,
-"Permutohedra, associahedra, and beyond").  Its vertices are therefore the
-maximizers of the n! permuted weights, and extreme_points reads them off
-with an exact certificate (unique maximizers, root-direction edges, cut
-inequalities) that raises instead of answering for any other point set.
-No linear program is solved.  A dimension guard, checked before any point
-is built, bounds the n! passes.
+generalized permutohedron (Postnikov, "Permutohedra, associahedra, and
+beyond", section 6), stored by its cut vector z(S) = max_P 1_S over the
+subsets S of {1..n}.  The constructors write z in closed form, a Minkowski
+sum adds cut vectors and a translation by t adds t(S): no vertex is listed.
+The vertices are the greedy vectors z(S_k) - z(S_{k-1}) of the n! orders
+(Edmonds).  extreme_points certifies a point set exactly, in two legs: its
+cut vector by subset sums, and every greedy vector one of the points.  No
+linear program is solved.  A dimension guard bounds the n! greedy leaves.
 
 The symbolic checks verify the divisor valuation identity, the disjointness
 of the section and boundary divisors, the three-term cocycle of root-indexed
@@ -34,7 +35,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .chains import ExtendedPoint
@@ -53,115 +54,116 @@ _CHART_GUARD = 2**14
 
 
 def _check_dim(dim: int) -> None:
-    """The certificate costs (dim+1)! passes over the points."""
+    """The vertices are the greedy vectors of the (dim+1)! orders."""
     if dim > _DIM_GUARD:
         raise ValueError(
             f"polytope dimension guard: ambient dimension {dim} exceeds the bound {_DIM_GUARD}"
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _braid_chambers(n: int):
-    """The permuted weights w of (n, ..., 1), their functionals w_i - w_n in
-    root coordinates, and the walls between them: (i, j, a, b) when weight j
-    is weight i with its values w_a = w_b + 1 swapped."""
-    weights = list(itertools.permutations(range(n, 0, -1)))
-    index = {w: i for i, w in enumerate(weights)}
-    walls = []
-    for i, w in enumerate(weights):
-        for k in range(1, n):
-            a, b = w.index(k + 1), w.index(k)
-            swapped = list(w)
-            swapped[a], swapped[b] = k, k + 1
-            walls.append((i, index[tuple(swapped)], a, b))
-    functionals = [tuple(x - w[-1] for x in w[:-1]) for w in weights]
-    return weights, functionals, walls
+def _full(dim: int, a: Sequence[int], what: str) -> List[int]:
+    """The root coordinates a as the full coordinates (a, -sum a)."""
+    if len(a) != dim:
+        raise ValueError(f"dimension mismatch: the {what} {tuple(a)} has length {len(a)}, "
+                         f"expected the ambient dimension {dim}")
+    return [*a, -sum(a)]
+
+
+def _subset_sums(x: Sequence[int]) -> List[int]:
+    """sum_{i in S} x_i for every subset S, indexed by the bitmask of S."""
+    sums = [0]
+    for xi in x:
+        sums += [s + xi for s in sums]
+    return sums
+
+
+def _greedy_vectors(n: int, cuts: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The sorted distinct greedy vectors v(sigma_k) = z(S_k) - z(S_{k-1})
+    of the orders sigma of {0..n-1}, S_k = {sigma_1..sigma_k}, in root
+    coordinates: a depth-first walk over the prefix masks S_k."""
+    full = (1 << n) - 1
+    v = [0] * n
+    found = set()
+
+    def walk(mask: int) -> None:
+        if mask == full:
+            found.add(tuple(v[:-1]))
+            return
+        for i in range(n):
+            if not mask >> i & 1:
+                v[i] = cuts[mask | 1 << i] - cuts[mask]
+                walk(mask | 1 << i)
+
+    walk(0)
+    return sorted(found)
 
 
 def extreme_points(dim: int, points: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     """The vertices of conv(points), for a hull whose normal fan coarsens the
-    braid fan (a generalized permutohedron), by an exact certificate.
+    braid fan (a generalized permutohedron), by a two-leg exact certificate.
 
-    With n = dim + 1, let v_w be the maximizer over the points of each
-    permuted weight w of (n, ..., 1), read in root coordinates as the
-    functional w_i - w_n.  The points pass when
-      1. every v_w is the unique maximizer of w;
-      2. for w' = w with the adjacent values w_a = w_b + 1 swapped,
-         v_w - v_w' = c (u_a - u_b) with c >= 0 (the edge condition of
-         Postnikov-Reiner-Williams, "Faces of generalized permutohedra");
-      3. every cut functional 1_S has the same maximum over the points as
-         over the v_w.
-    By 1 and 2 the v_w are the vertices of a generalized permutohedron P;
-    P is cut out by the inequalities of its cut functionals, so by 3 every
-    point lies in P.  Any failure raises ValueError, never a wrong answer.
+    With n = dim + 1 and the points read in full coordinates (a, -sum a):
+      1. the cut vector z(S) = max over the points of 1_S, by subset sums
+         (2^n of them a point);
+      2. for every order sigma of {1..n}, with S_k = {sigma_1..sigma_k}, the
+         greedy vector v(sigma_k) = z(S_k) - z(S_{k-1}) is one of the points.
+    Every point p has p(S) <= z(S) and p([n]) = 0 = z([n]), so conv(points)
+    lies in the base polytope B(z).  Leg 2 makes z submodular: for S and
+    a, b outside it, the greedy vector v of an order listing S, then a, then
+    b has v(S + b) = z(S) + z(S + a + b) - z(S + a), and v(S + b) <= z(S + b)
+    as v is a point.  That is local submodularity, which implies
+    submodularity.  So B(z) is the hull of the greedy vectors, each a vertex
+    (Edmonds), and by leg 2 they lie in conv(points): conv(points) = B(z).
+    Any failure raises ValueError, never a wrong answer; so does a point of
+    the wrong length.
     """
     _check_dim(dim)
-    pts = list({tuple(map(int, p)) for p in points})
-    if not pts:
-        return []
-    n = dim + 1
-    weights, functionals, walls = _braid_chambers(n)
-    chamber = []
-    for w, f in zip(weights, functionals):
-        values = [sum(map(mul, f, p)) for p in pts]
-        top = max(values)
-        ties = values.count(top)
-        if ties > 1:
-            raise ValueError(
-                f"not a generalized permutohedron: {ties} points maximize the weight {w}"
-            )
-        chamber.append(pts[values.index(top)])
-    for i, j, a, b in walls:
-        if chamber[i] == chamber[j]:
-            continue
-        d = [x - y for x, y in zip(chamber[i], chamber[j])]
-        d.append(-sum(d))
-        c = d[a]
-        d[a], d[b] = 0, d[b] + c
-        if c < 0 or any(d):
-            raise ValueError(
-                f"not a generalized permutohedron: the maximizers of {weights[i]} and "
-                f"{weights[j]} differ by no multiple c >= 0 of u_{a + 1} - u_{b + 1}"
-            )
-    vertices = sorted(set(chamber))
-    for mask in range(1, 2**n - 1):
-        f = tuple(((mask >> i) & 1) - (mask >> dim) for i in range(dim))
-        if max(sum(map(mul, f, p)) for p in pts) > max(sum(map(mul, f, v)) for v in vertices):
-            cut = [i + 1 for i in range(n) if (mask >> i) & 1]
-            raise ValueError(
-                f"not a generalized permutohedron: a point exceeds the vertices' "
-                f"maximum of the cut functional on {cut}"
-            )
-    return vertices
+    points = list(points)
+    return list(LatticePolytope.from_points(dim, points).vertices) if points else []
 
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Convex lattice polytope stored by its sorted extreme points."""
+    """A generalized permutohedron stored by its cut vector cuts[S] = max_P 1_S
+    over the bitmasks S of {0..ambient_dim}, the points read in full
+    coordinates (a, -sum a).  The cut vector is submodular, vanishes on the
+    empty set and on the whole set, and determines the polytope."""
 
     ambient_dim: int
-    vertices: Tuple[Tuple[int, ...], ...]
+    cuts: Tuple[int, ...]
 
     def __post_init__(self):
-        for v in self.vertices:
-            if len(v) != self.ambient_dim:
-                raise ValueError("vertex dimension mismatch")
+        _check_dim(self.ambient_dim)
+        if len(self.cuts) != 2 ** (self.ambient_dim + 1) or self.cuts[0] or self.cuts[-1]:
+            raise ValueError(f"not the cut vector of a polytope in dimension {self.ambient_dim}")
 
     @staticmethod
     def from_points(dim: int, points: Sequence[Sequence[int]]) -> "LatticePolytope":
-        return LatticePolytope(dim, tuple(extreme_points(dim, points)))
+        """conv(points), certified as in extreme_points."""
+        _check_dim(dim)
+        given = [tuple(map(int, p)) for p in points]
+        full = [_full(dim, p, "point") for p in given]
+        if not full:
+            raise ValueError("no points: the empty set has no cut vector")
+        cuts = functools.reduce(lambda z, s: list(map(max, z, s)), map(_subset_sums, full))
+        polytope = LatticePolytope(dim, tuple(cuts))
+        missing = set(polytope.vertices).difference(given)
+        if missing:
+            raise ValueError(f"not a generalized permutohedron: the greedy vector "
+                             f"{min(missing)} of the cut vector is not one of the points")
+        return polytope
+
+    @functools.cached_property
+    def vertices(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(_greedy_vectors(self.ambient_dim + 1, self.cuts))
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
 
     def translate(self, vector: Sequence[int]) -> "LatticePolytope":
-        return LatticePolytope(
-            self.ambient_dim,
-            tuple(
-                sorted(tuple(x + t for x, t in zip(v, vector)) for v in self.vertices)
-            ),
-        )
+        shift = _subset_sums(_full(self.ambient_dim, vector, "translation"))
+        return LatticePolytope(self.ambient_dim, tuple(map(add, self.cuts, shift)))
 
     def to_dict(self) -> dict:
         return {"ambient_dim": self.ambient_dim, "vertices": [list(v) for v in self.vertices]}
@@ -170,43 +172,39 @@ class LatticePolytope:
 def permutohedron(n: int) -> LatticePolytope:
     """Convex hull of the orbit of (n-1, n-2, ..., 0) weights, translated so
     the identity-ordering vertex is the origin: the points sum_i (i - pi(i)) u_i
-    over the permutations pi of the positions."""
+    over the permutations pi of the positions 0..n-1, with cut vector
+    z(S) = sum_{i in S} i - C(|S|, 2)."""
     if n < 2:
         raise ValueError("n >= 2 required")
     _check_dim(n - 1)
-    points = [
-        tuple(i - pi[i] for i in range(n - 1)) for pi in itertools.permutations(range(n))
-    ]
-    return LatticePolytope.from_points(n - 1, points)
+    cuts = (s - k * (k - 1) // 2 for s, k in zip(_subset_sums(range(n)), _subset_sums([1] * n)))
+    return LatticePolytope(n - 1, tuple(cuts))
 
 
 def delta_j(n: int, j: int) -> LatticePolytope:
     """Hypersimplex translate: hull of sum_{i in J} u_i - (u_1 + ... + u_j)
-    over all j-element subsets J."""
+    over all j-element subsets J, with z(S) = min(|S|, j) - |S & {1..j}|."""
     if not 1 <= j <= n - 1:
         raise ValueError("need 1 <= j <= n-1")
     _check_dim(n - 1)
-    points = [
-        tuple((i in J) - (i < j) for i in range(n - 1))
-        for J in itertools.combinations(range(n), j)
-    ]
-    return LatticePolytope.from_points(n - 1, points)
+    low = _subset_sums([1] * j + [0] * (n - j))
+    return LatticePolytope(n - 1, tuple(min(k, j) - l for k, l in zip(_subset_sums([1] * n), low)))
 
 
 def root_segment(n: int, i: int, j: int) -> LatticePolytope:
-    """The segment from the origin to the root u_i - u_j."""
+    """The segment from the origin to the root u_i - u_j: z(S) = [i in S, j not in S]."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need distinct indices in range")
     _check_dim(n - 1)
-    root = tuple((k == i) - (k == j) for k in range(1, n))
-    return LatticePolytope.from_points(n - 1, [(0,) * (n - 1), root])
+    a, b = 1 << (i - 1), 1 << (j - 1)
+    return LatticePolytope(n - 1, tuple(int(m & a != 0 and m & b == 0) for m in range(2**n)))
 
 
 def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
+    """The cut vector of P + Q is the sum of the cut vectors."""
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
-    return LatticePolytope.from_points(P.ambient_dim, sums)
+    return LatticePolytope(P.ambient_dim, tuple(map(add, P.cuts, Q.cuts)))
 
 
 def minkowski_sum_all(polys: Sequence[LatticePolytope]) -> LatticePolytope:
@@ -215,15 +213,14 @@ def minkowski_sum_all(polys: Sequence[LatticePolytope]) -> LatticePolytope:
 
 def permutohedron_decompositions(n: int) -> Tuple[LatticePolytope, bool]:
     """The permutohedron, and whether both its decompositions hold by exact
-    vertex equality: as the sum of the hypersimplex translates, and as the
-    sum of the root segments l_{i_j i_k} for k < j under the identity
+    equality of cut vectors: as the sum of the hypersimplex translates, and
+    as the sum of the root segments l_{i_j i_k} for k < j under the identity
     ordering."""
     perm = permutohedron(n)
-    hyper = minkowski_sum_all([delta_j(n, j) for j in range(1, n)])
-    if hyper.vertices != perm.vertices:
+    if minkowski_sum_all([delta_j(n, j) for j in range(1, n)]) != perm:
         return perm, False
     segments = [root_segment(n, j, k) for j in range(1, n + 1) for k in range(1, j)]
-    return perm, minkowski_sum_all(segments).vertices == perm.vertices
+    return perm, minkowski_sum_all(segments) == perm
 
 
 def verify_minkowski(n: int) -> bool:

@@ -151,11 +151,21 @@ JSON_COMMANDS = (
     ("polytope permutohedron --n 4 --json", "polytope"),
     ("polytope delta --n 4 --j 2 --json", "polytope"),
     ("polytope minkowski --n 4 --json", "polytope"),
+    ("polytope permutohedron --n 7 --json", "polytope"),
+    ("verify all --n 8 --json", "verify_report"),
 )
+
+# Ids are the subcommand; a repeated subcommand at its largest size is
+# named by that size.
+JSON_IDS = {
+    "polytope permutohedron --n 7 --json": "permutohedron-n7",
+    "verify all --n 8 --json": "all-n8",
+}
 
 
 @pytest.mark.parametrize(
-    "command, schema_name", JSON_COMMANDS, ids=[c.split()[1] for c, _ in JSON_COMMANDS]
+    "command, schema_name", JSON_COMMANDS,
+    ids=[JSON_IDS.get(c, c.split()[1]) for c, _ in JSON_COMMANDS],
 )
 def test_point_json_matches_schema_and_reruns_byte_identical(command, schema_name):
     """Every listed --json command (point, fan, chain, polytope and verify) in
@@ -242,6 +252,12 @@ class TestPolytopeAndVerify:
         assert "dimension guard" in proc.stderr
         assert "dimension 10" in proc.stderr and "bound 6" in proc.stderr
 
+    def test_largest_admitted_permutohedron(self):
+        # n = 7, the largest the dimension guard admits: 5040 greedy leaves
+        proc = run_subprocess("polytope permutohedron --n 7 --json".split(), 0, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["vertices"]) == 5040
+
     def test_minkowski(self, capsys):
         code, out = run(capsys, *"polytope minkowski --n 3 --json".split())
         assert code == 0
@@ -251,6 +267,13 @@ class TestPolytopeAndVerify:
         code, out = run(capsys, *"verify divisor --n 4 --json".split())
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_verify_minkowski_up_to_the_dimension_guard(self, capsys):
+        code, out = run(capsys, *"verify minkowski --n 7 --json".split())
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert [c["n"] for c in cases] == list(range(2, 8))
+        assert all(c["ok"] for c in cases)
 
     def test_verify_identities_past_the_old_caps(self, capsys):
         for what in ("cd-disjoint", "hyperplane"):

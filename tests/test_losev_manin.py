@@ -114,6 +114,53 @@ def oracle_vertices(points):
     return [p for p in pts if not _in_hull(p, [q for q in pts if q != p])]
 
 
+def braid_vertices(dim, points):
+    """The vertices by the braid-chamber certificate: the maximizer v_w of
+    each permuted weight w of (n, ..., 1) must be unique; maximizers across
+    a wall (adjacent values w_a = w_b + 1 swapped) must differ by
+    c (u_a - u_b) with c >= 0; and every cut functional 1_S must have the
+    same maximum over the points as over the v_w.  Raises ValueError
+    otherwise."""
+    pts = list({tuple(p) for p in points})
+    n = dim + 1
+    weights = list(itertools.permutations(range(n, 0, -1)))
+    chamber = {}
+    for w in weights:
+        values = [sum((x - w[-1]) * c for x, c in zip(w, p)) for p in pts]
+        top = max(values)
+        if values.count(top) > 1:
+            raise ValueError(f"{values.count(top)} points maximize the weight {w}")
+        chamber[w] = pts[values.index(top)]
+    for w in weights:
+        for k in range(1, n):
+            a, b = w.index(k + 1), w.index(k)
+            swapped = list(w)
+            swapped[a], swapped[b] = k, k + 1
+            d = [x - y for x, y in zip(chamber[w], chamber[tuple(swapped)])]
+            d.append(-sum(d))
+            c = d[a]
+            d[a], d[b] = 0, d[b] + c
+            if c < 0 or any(d):
+                raise ValueError(f"maximizers of {w} and {tuple(swapped)} differ by no multiple")
+    vertices = sorted(set(chamber.values()))
+    for mask in range(1, 2**n - 1):
+        f = [((mask >> i) & 1) - (mask >> dim) for i in range(dim)]
+        top = [max(sum(x * y for x, y in zip(f, p)) for p in ps) for ps in (pts, vertices)]
+        if top[0] > top[1]:
+            raise ValueError(f"a point exceeds the vertices' maximum of the cut functional {mask}")
+    return vertices
+
+
+def is_submodular(n, z):
+    """z(S + a) + z(S + b) >= z(S) + z(S + a + b) for all S and a, b outside S."""
+    return all(
+        z[S | 1 << a] + z[S | 1 << b] >= z[S] + z[S | 1 << a | 1 << b]
+        for S in range(2**n)
+        for a, b in itertools.combinations(range(n), 2)
+        if not (S >> a) & 1 and not (S >> b) & 1
+    )
+
+
 def root_coords(full):
     """sum_i x_i u_i with sum x_i = 0, in the basis u_i - u_n."""
     assert sum(full) == 0
@@ -229,7 +276,7 @@ class TestPolytopes:
 
     def test_minkowski_with_origin(self):
         p = delta_j(3, 1)
-        origin = LatticePolytope(2, ((0, 0),))
+        origin = LatticePolytope.from_points(2, [(0, 0)])
         assert minkowski_sum(p, origin).vertices == p.vertices
 
     def test_hypersimplex_decomposition(self):
@@ -255,6 +302,29 @@ class TestPolytopes:
         with pytest.raises(ValueError):
             minkowski_sum(permutohedron(3), permutohedron(4))
 
+    def test_translate_length_mismatch_raises(self):
+        # a longer translation is an error, not cut to the ambient dimension
+        message = r"\(5, 6, 7\) has length 3, expected the ambient dimension 2"
+        with pytest.raises(ValueError, match=message):
+            permutohedron(3).translate((5, 6, 7))
+
+    def test_short_points_raise(self):
+        message = r"\(0,\) has length 1, expected the ambient dimension 2"
+        with pytest.raises(ValueError, match=message):
+            extreme_points(2, [(0,), (1,)])
+
+    def test_long_points_raise(self):
+        # not "not a generalized permutohedron": the length is named first
+        message = r"\(0, 0, 7\) has length 3, expected the ambient dimension 2"
+        with pytest.raises(ValueError, match=message):
+            extreme_points(2, [(0, 0, 7), (1, 0, 7)])
+
+    def test_translate_adds_the_shift_to_every_vertex(self):
+        p = delta_j(4, 2)
+        moved = p.translate((1, -2, 5))
+        assert moved.vertices == tuple(sorted((a + 1, b - 2, c + 5) for a, b, c in p.vertices))
+        assert moved.translate((-1, 2, -5)) == p
+
     def test_extreme_points_interior(self):
         assert extreme_points(2, [(0, 0), (3, 0), (0, 3), (1, 1)]) == [
             (0, 0),
@@ -273,8 +343,9 @@ class TestPolytopes:
 
 
 class TestVertexCertificate:
-    """extreme_points against the simplex oracle, and one negative control
-    for each leg of its certificate."""
+    """extreme_points and the closed-form cut vectors against two oracles,
+    the simplex and the braid-chamber certificate, and negative controls
+    for the greedy leg."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_constructors_match_oracle(self, n):
@@ -286,8 +357,21 @@ class TestVertexCertificate:
         ]
         for polytope, points in cases:
             vertices = oracle_vertices(points)
+            assert braid_vertices(n - 1, points) == vertices
             assert extreme_points(n - 1, points) == vertices
             assert list(polytope.vertices) == vertices
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_closed_form_cuts_match_from_points(self, n):
+        cases = [(permutohedron(n), permutohedron_points(n))]
+        cases += [(delta_j(n, j), hypersimplex_points(n, j)) for j in range(1, n)]
+        cases += [
+            (root_segment(n, i + 1, j + 1), segment_points(n, i, j))
+            for i, j in itertools.permutations(range(n), 2)
+        ]
+        for polytope, points in cases:
+            assert polytope.cuts == LatticePolytope.from_points(n - 1, points).cuts
+            assert is_submodular(n, polytope.cuts)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_sums_match_oracle(self, seed):
@@ -296,7 +380,7 @@ class TestVertexCertificate:
         rng = random.Random(seed)
         n = rng.randint(3, 5)
         points = [(0,) * (n - 1)]
-        polytope = LatticePolytope(n - 1, ((0,) * (n - 1),))
+        polytope = LatticePolytope.from_points(n - 1, [(0,) * (n - 1)])
         for _ in range(rng.randint(2, 3)):
             if rng.random() < 0.6:
                 i, j = rng.sample(range(n), 2)
@@ -308,8 +392,10 @@ class TestVertexCertificate:
             points = sum_points(points, summand)
             polytope = minkowski_sum(polytope, term)
         vertices = oracle_vertices(points)
+        assert braid_vertices(n - 1, points) == vertices
         assert extreme_points(n - 1, points) == vertices
         assert list(polytope.vertices) == vertices
+        assert polytope == LatticePolytope.from_points(n - 1, points)
 
     def test_arbitrary_point_sets_raise_or_match_oracle(self):
         rng = random.Random(3)
@@ -322,30 +408,44 @@ class TestVertexCertificate:
                 vertices = extreme_points(2, points)
             except ValueError as exc:
                 assert "not a generalized permutohedron" in str(exc)
+                with pytest.raises(ValueError):
+                    braid_vertices(2, points)
                 outcomes.add("raised")
             else:
-                assert vertices == oracle_vertices(points)
+                assert vertices == oracle_vertices(points) == braid_vertices(2, points)
+                assert is_submodular(3, LatticePolytope.from_points(2, points).cuts)
                 outcomes.add("answered")
         assert outcomes == {"raised", "answered"}
 
     def test_tie_raises(self):
-        # (1, 0) and (0, 2) both take the maximum 2 of the weight (3, 2, 1)
+        # (1, 0) and (0, 2) both take the maximum 2 of the weight (3, 2, 1);
+        # the greedy vector (1, 1) of the order 1, 2, 3 is not a point
+        points = [(0, 0), (1, 0), (0, 2)]
         with pytest.raises(ValueError, match="2 points maximize the weight"):
-            extreme_points(2, [(0, 0), (1, 0), (0, 2)])
+            braid_vertices(2, points)
+        with pytest.raises(ValueError, match=r"greedy vector \(1, 1\) .* not one of the points"):
+            extreme_points(2, points)
 
     def test_off_root_edge_raises(self):
         # unique maximizers, but the edge from (0, 0) to (2, 1) is not along
-        # a root
+        # a root; the greedy vector (0, 2) of the order 2, 3, 1 is not a point
+        points = [(0, 0), (2, 1), (1, 2)]
         with pytest.raises(ValueError, match="differ by no multiple"):
-            extreme_points(2, [(0, 0), (2, 1), (1, 2)])
+            braid_vertices(2, points)
+        with pytest.raises(ValueError, match=r"greedy vector \(0, 2\) .* not one of the points"):
+            extreme_points(2, points)
 
     def test_cut_only_raises(self):
         # (-18, 5) maximizes no permuted weight, so the maximizers pass the
-        # first two legs, yet it is a vertex of the hull: only the cut
-        # inequalities see it
+        # first two braid legs, yet it is a vertex of the hull: only the cut
+        # inequalities see it.  It raises z({2, 3}) from 16 to 18, so the
+        # greedy vectors (-18, 8) and (-18, 2) of the orders 2, 3, 1 and
+        # 3, 2, 1 are not points
         points = [tuple(8 * x for x in v) for v in permutohedron(3).vertices] + [(-18, 5)]
         assert (-18, 5) in oracle_vertices(points)
         with pytest.raises(ValueError, match="cut functional"):
+            braid_vertices(2, points)
+        with pytest.raises(ValueError, match=r"greedy vector \(-18, 2\) .* not one of the points"):
             extreme_points(2, points)
 
     def test_dimension_guard(self):
