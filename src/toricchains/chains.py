@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_linalg import IntMatrix, _xgcd
+from .exact_linalg import IntMatrix
 from .fields import Element, Field, PrimeField
 from .orbit_points import (
     FanPoint,
@@ -25,12 +25,12 @@ from .orbit_points import (
     act,
     is_nondegenerate,
     make_point,
+    scale_by_characters,
     solve_units,
+    witness_units,
     _weights,
 )
 from .root_fans import FanFamily, build_upsilon
-
-_ROOT_FIELD_BOUND = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +119,53 @@ def root_multiplicity(c: Sequence[Element], r: Element, field: Field) -> int:
     return mult
 
 
-def _check_root_scan(p: int) -> None:
-    """Root finding over F_p tries each of the p - 1 units."""
-    if p > _ROOT_FIELD_BOUND:
-        raise ValueError(
-            f"root scan guard: field size p = {p} exceeds the bound "
-            f"_ROOT_FIELD_BOUND = {_ROOT_FIELD_BOUND}"
-        )
+def _pow_minus_one(
+    base: Sequence[Element], e: int, mod: Sequence[Element], field: Field
+) -> List[Element]:
+    """base**e - 1 modulo mod, by repeated squaring."""
+    h = [field.one]
+    while e:
+        if e & 1:
+            h = poly_divmod(poly_mul(h, base, field), mod, field)[1] or [field.zero]
+        e >>= 1
+        if e:
+            base = poly_divmod(poly_mul(base, base, field), mod, field)[1]
+    h[0] = field.sub(h[0], field.one)
+    return poly_trim(h, field)
+
+
+def _split_roots(g: List[Element], field: PrimeField) -> List[int]:
+    """The roots of a monic g that is a product of distinct t - r, r a unit.
+
+    gcd(g, (t+a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
+    square.  For two roots r != s, as a runs over F_p minus {-s}, (r+a)/(s+a)
+    takes every value but 1 once, so for (p-1)/2 values of a it is a
+    nonsquare and exactly one of r, s is kept: some a < p splits g."""
+    if len(g) <= 2:
+        return [field.neg(g[0])] if len(g) == 2 else []
+    half = (field.p - 1) // 2
+    for a in range(field.p):
+        d = poly_gcd(g, _pow_minus_one([a, field.one], half, g, field), field)
+        if 1 < len(d) < len(g):
+            rest, _ = poly_divmod(g, d, field)
+            return _split_roots(d, field) + _split_roots(rest, field)
+    raise AssertionError("no shift splits a product of distinct linear factors")
 
 
 def unit_root_multiplicities(
     c: Sequence[Element], field: PrimeField
 ) -> Dict[int, int]:
-    """Multiplicities of all roots in F_p^*, by exhaustive scan and division."""
-    _check_root_scan(field.p)
-    out: Dict[int, int] = {}
-    cur = poly_trim(c, field)
-    for r in range(1, field.p):
-        if not field.is_zero(poly_eval(cur, r, field)):
-            continue
-        m = 0
-        while field.is_zero(poly_eval(cur, r, field)):
-            cur, rem = poly_divmod(cur, [field.neg(r), field.one], field)
-            assert not rem
-            m += 1
-        out[r] = m
-        if len(cur) <= 1:
-            break
-    return out
+    """Multiplicities of all roots in F_p^*, in increasing order.
+
+    The distinct unit roots of f are those of g = gcd(f, t^(p-1) - 1), which
+    :func:`_split_roots` splits into linear factors (Cantor-Zassenhaus; von
+    zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14), and division
+    gives each multiplicity, in O(d^2 log p) field operations for degree d."""
+    f = poly_trim(c, field)
+    if not f:
+        raise ValueError("the zero polynomial vanishes at every unit")
+    g = poly_gcd(f, _pow_minus_one([field.zero, field.one], field.p - 1, f, field), field)
+    return {r: root_multiplicity(f, r, field) for r in sorted(_split_roots(g, field))}
 
 
 def is_squarefree(c: Sequence[Element], field: Field) -> bool:
@@ -329,56 +348,36 @@ def extended_from_standard(p: FanPoint) -> ExtendedPoint:
 
 
 def act_extended(units: Sequence[Element], e: ExtendedPoint) -> ExtendedPoint:
-    w = extended_weight_matrix(e.n)
-    f = e.field
-    if len(units) != e.n + 1:
-        raise ValueError("extended action needs n+1 units")
-    coords = e.coords()
-    new = []
-    for r, c in enumerate(coords):
-        v = c
-        for k in range(w.rows):
-            exp = w[k, r]
-            if exp:
-                v = f.mul(v, f.pow(units[k], exp))
-        new.append(v)
-    return ExtendedPoint(e.n, f, tuple(new[: e.n + 1]), tuple(new[e.n + 1 :]))
+    new = scale_by_characters(extended_weight_matrix(e.n), units, e.coords(), e.field)
+    return ExtendedPoint(e.n, e.field, tuple(new[: e.n + 1]), tuple(new[e.n + 1 :]))
 
 
 def orbit_equal_extended(p: ExtendedPoint, q: ExtendedPoint) -> bool:
     """Orbit equality for extended points under the rank-(n+1) torus."""
     if p.n != q.n or p.field != q.field:
         raise ValueError("extended points are not comparable")
-    f = p.field
-    pc, qc = p.coords(), q.coords()
-    support = [r for r in range(len(pc)) if not f.is_zero(pc[r])]
-    if support != [r for r in range(len(qc)) if not f.is_zero(qc[r])]:
-        return False
     w = extended_weight_matrix(p.n)
-    rows = [[w[k, r] for k in range(w.rows)] for r in support]
-    targets = [f.div(qc[r], pc[r]) for r in support]
-    return solve_units(rows, targets, f) is not None
+    return witness_units(w, p.coords(), q.coords(), p.field) is not None
 
 
-def _nth_root(value: Element, n: int, field: Field) -> Optional[Element]:
-    """One solution of r**n = value among units, or None."""
+def _nth_roots(value: Element, n: int, field: Field) -> List[Element]:
+    """Every unit r with r**n == value: over F_p in increasing order, over Q
+    the positive root first."""
     if field.is_zero(value):
-        return None
+        return []
     if isinstance(field, PrimeField):
-        _check_root_scan(field.p)
-        for r in range(1, field.p):
-            if field.pow(r, n) == value:
-                return r
-        return None
+        t_n_minus_v = [field.neg(value)] + [field.zero] * (n - 1) + [field.one]
+        return list(unit_root_multiplicities(t_n_minus_v, field))
     v = Fraction(value)
     if v < 0 and n % 2 == 0:
-        return None
+        return []
     sign = -1 if v < 0 else 1
     num = _int_nth_root(abs(v.numerator), n)
     den = _int_nth_root(v.denominator, n)
     if num is None or den is None:
-        return None
-    return Fraction(sign * num, den)
+        return []
+    r = Fraction(sign * num, den)
+    return [r, -r] if n % 2 == 0 else [r]
 
 
 def _int_nth_root(m: int, n: int) -> Optional[int]:
@@ -415,9 +414,10 @@ def point_from_polynomial(coeffs: Sequence, field: Field) -> ExtendedPoint:
     if field.is_zero(c[0]) or field.is_zero(c[-1]):
         raise ValueError("subscheme meets a pole: zero end coefficient")
     e = ExtendedPoint(n, field, tuple(c), (field.one,) * (n - 1))
-    r = _nth_root(field.div(c[0], c[-1]), n, field)
-    if r is None:
+    roots = _nth_roots(field.div(c[0], c[-1]), n, field)
+    if not roots:
         return e
+    r = roots[0]
     # kappa_i = r**i / c_0 fixes all twists and normalizes both ends.
     k0 = field.inv(c[0])
     units = [field.mul(k0, field.pow(r, i)) for i in range(n + 1)]
@@ -458,14 +458,12 @@ class FiberProfile:
 def fiber_profile(p: FanPoint) -> FiberProfile:
     """Rational fiber data of the degree-n! label-forgetting map over p.
 
-    Per component, roots in F_q^* are found by exhaustive scan with exact
-    division for multiplicities.  The ordered-preimage count is the number
+    Per component, the roots in F_q^* and their multiplicities come from
+    :func:`unit_root_multiplicities`.  The ordered-preimage count is the number
     of ways to order the divisor: n!/prod(mult!) when every component splits
     completely over the field, zero otherwise.  Ramification is detected by
     a squarefreeness test, so repeated non-rational points also count.
     """
-    if not isinstance(p.field, PrimeField):
-        raise ValueError("fiber profiles are computed over prime fields")
     return fiber_profile_of_chain(chain_from_point(p))
 
 
@@ -652,32 +650,12 @@ def _reversal_related(p: Sequence[Element], q: Sequence[Element], field: Field) 
         constraints.append((r, field.div(q[r], field.mul(u, rev[r]))))
     if not constraints:
         return True
-    # Combine the constraints into one v^g = tau with g = gcd of exponents,
-    # take a g-th root, then verify everything.
-    g, coeffs = constraints[0][0], {constraints[0][0]: 1}
-    for r, _ in constraints[1:]:
-        gg, s, t = _xgcd(g, r)
-        coeffs = {k: s * v for k, v in coeffs.items()}
-        coeffs[r] = coeffs.get(r, 0) + t
-        g = gg
-    tau = field.one
-    targets = dict(constraints)
-    for r, c in coeffs.items():
-        tau = field.mul(tau, field.pow(targets[r], c))
-    v = _nth_root(tau, g, field)
-    if v is None:
-        return False
-    # v is determined up to a g-th root of unity; over the scan fields try
-    # them all, over the rationals only +-1 are available.
-    candidates = [v]
-    if isinstance(field, PrimeField):
-        candidates = [w for w in range(1, field.p) if field.pow(w, g) == tau]
-    else:
-        candidates = [v, field.neg(v)]
-    for w in candidates:
-        if all(field.pow(w, r) == t for r, t in constraints):
-            return True
-    return False
+    # Every solution v is among the r-th roots of t_r, for any one constraint.
+    r0, t0 = constraints[0]
+    return any(
+        all(field.pow(w, r) == t for r, t in constraints)
+        for w in _nth_roots(t0, r0, field)
+    )
 
 
 @dataclass(frozen=True)

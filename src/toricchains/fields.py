@@ -12,7 +12,7 @@ Python integers, so reduction never overflows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 Element = Union[int, Fraction]
 
@@ -139,10 +139,10 @@ class PrimeField(Field):
     """The prime field F_p, elements are ints in ``range(p)``."""
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"prime field guard: p = {p} exceeds the bound 2^31")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p >= _PRIME_BOUND:
-            raise ValueError(f"prime {p} exceeds the 2^31 bound")
         self.p = p
         self.name = f"F{p}"
         self.zero = 0
@@ -180,12 +180,6 @@ class PrimeField(Field):
 
     def format(self, a) -> str:
         return str(a)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    def units(self) -> Iterator[int]:
-        return iter(range(1, self.p))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

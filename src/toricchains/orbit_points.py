@@ -43,6 +43,7 @@ from .root_fans import StackyFan, check_fan, fan_faces, weight_matrix
 
 _DLOG_TABLE_BOUND = 200_003
 _ORBIT_COUNT_BOUND = 10**5
+_TRIAL_DIVISOR_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -105,22 +106,28 @@ def free_rank(fan: StackyFan) -> int:
 
 def act(g: GroupElement, p: FanPoint) -> FanPoint:
     """Multiply each coordinate by its character value at g."""
-    w = _weights(p.fan)
-    if len(g.units) != w.rows:
-        raise ValueError("group element has wrong number of units")
-    f = p.field
-    units = [f.of(u) for u in g.units]
-    if any(f.is_zero(u) for u in units):
+    coords = scale_by_characters(_weights(p.fan), g.units, p.coords, p.field)
+    return FanPoint(p.fan, p.field, tuple(coords))
+
+
+def scale_by_characters(
+    w: IntMatrix, units: Sequence[Element], coords: Sequence[Element], field: Field
+) -> List[Element]:
+    """Multiply coordinate r by its character prod_k units[k]^W[k][r]."""
+    if len(units) != w.rows:
+        raise ValueError(f"the torus action needs {w.rows} units, got {len(units)}")
+    units = [field.of(u) for u in units]
+    if any(field.is_zero(u) for u in units):
         raise ValueError("group element units must be invertible")
     new = []
-    for r, c in enumerate(p.coords):
+    for r, c in enumerate(coords):
         v = c
         for k in range(w.rows):
             e = w[k, r]
             if e:
-                v = f.mul(v, f.pow(units[k], e))
+                v = field.mul(v, field.pow(units[k], e))
         new.append(v)
-    return FanPoint(p.fan, f, tuple(new))
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +166,24 @@ def _primitive_root(p: int) -> int:
 
 
 def _prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of n >= 1, by trial division up to the
+    trial-division guard."""
     out = []
+    m = n
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d * d <= m:
+        if d > _TRIAL_DIVISOR_BOUND:
+            raise ValueError(
+                f"trial-division guard: n = {n} has a cofactor with no prime "
+                f"factor up to the bound {_TRIAL_DIVISOR_BOUND}"
+            )
+        if m % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            while m % d == 0:
+                m //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    if m > 1:
+        out.append(m)
     return out
 
 
@@ -255,13 +270,17 @@ def solve_units(
     raise ValueError(f"unsupported field {field.name}")
 
 
-def _support_system(p: FanPoint, q: FanPoint):
-    w = _weights(p.fan)
-    support = p.support()
+def witness_units(
+    w: IntMatrix, p: Sequence[Element], q: Sequence[Element], field: Field
+) -> Optional[List[Element]]:
+    """Units carrying the coordinates p to q under the weights W, or None
+    when the supports differ or no units solve the system."""
+    support = [r for r, c in enumerate(p) if not field.is_zero(c)]
+    if support != [r for r, c in enumerate(q) if not field.is_zero(c)]:
+        return None
     rows = [[w[k, r] for k in range(w.rows)] for r in support]
-    f = p.field
-    targets = [f.div(q.coords[r], p.coords[r]) for r in support]
-    return rows, targets
+    targets = [field.div(q[r], p[r]) for r in support]
+    return solve_units(rows, targets, field)
 
 
 def orbit_witness(p: FanPoint, q: FanPoint) -> Optional[GroupElement]:
@@ -273,10 +292,7 @@ def orbit_witness(p: FanPoint, q: FanPoint) -> Optional[GroupElement]:
     for pt in (p, q):
         if not is_nondegenerate(pt.fan, pt.coords, pt.field):
             raise ValueError("orbit comparison requires nondegenerate points")
-    if p.support() != q.support():
-        return None
-    rows, targets = _support_system(p, q)
-    units = solve_units(rows, targets, p.field)
+    units = witness_units(_weights(p.fan), p.coords, q.coords, p.field)
     if units is None:
         return None
     return GroupElement(tuple(p.field.of(u) for u in units))

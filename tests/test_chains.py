@@ -9,6 +9,7 @@ import pytest
 
 from toricchains.chains import (
     ChainModel,
+    _nth_roots,
     _reversal_related,
     ExtendedPoint,
     act_extended,
@@ -25,7 +26,11 @@ from toricchains.chains import (
     orbit_equal_extended,
     parity_component,
     point_from_polynomial,
+    poly_divmod,
+    poly_eval,
     poly_from_roots,
+    poly_mul,
+    poly_trim,
     polynomial_orbit_invariants,
     unit_root_multiplicities,
 )
@@ -440,8 +445,8 @@ class TestParity:
 
 
 class TestReversalRelated:
-    """q(t) = u * rev(p)(v t): the exponents of the nonzero positions are
-    combined by an extended gcd into one root extraction."""
+    """q(t) = u * rev(p)(v t): v is one of the roots of the first constraint
+    v^r = t_r and must meet every other."""
 
     @staticmethod
     def _image(p, u, v, field):
@@ -450,19 +455,111 @@ class TestReversalRelated:
 
     @pytest.mark.parametrize("field", [QQ, GF(7), GF(13)], ids=str)
     def test_exponents_two_and_three(self, field):
-        # rev(p) = (1, 0, 2, 5): constraints v^2 and v^3, gcd 1
+        # rev(p) = (1, 0, 2, 5): constraints v^2 and v^3
         p = [field.of(c) for c in (5, 2, 0, 1)]
         q = self._image(p, field.of(3), field.of(2), field)
         assert _reversal_related(p, q, field)
         q[3] = field.add(q[3], field.one)  # v^3 no longer the cube of v
         assert not _reversal_related(p, q, field)
 
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_matches_brute_force_over_units(self, p):
+        # sparse supports make several roots of unity candidates for v
+        field, rng = GF(p), random.Random(p)
+        for _ in range(150):
+            a = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(rng.randint(2, 7))]
+            a[0], a[-1] = a[0] or 1, a[-1] or 1
+            q = self._image(a, rng.randrange(1, p), rng.randrange(1, p), field)
+            if rng.random() < 0.5:
+                i = rng.randrange(len(q))
+                q[i] = field.mul(q[i], rng.randrange(1, p))
+            brute = any(
+                self._image(a, u, v, field) == q for u in range(1, p) for v in range(1, p)
+            )
+            assert _reversal_related(a, q, field) == brute, (a, q)
+
     def test_exponents_two_and_four(self):
-        # rev(p) = (1, 0, 1, 0, 1): constraints v^2 and v^4, gcd 2, root 3
+        # rev(p) = (1, 0, 1, 0, 1): constraints v^2 and v^4, roots +-3
         p = [QQ.of(c) for c in (1, 0, 1, 0, 1)]
         assert _reversal_related(p, self._image(p, QQ.of(4), QQ.of(3), QQ), QQ)
         # v^2 = 2, v^4 = 4 are consistent but 2 has no rational square root
         assert not _reversal_related(p, [QQ.of(c) for c in (1, 0, 2, 0, 4)], QQ)
+
+
+def scan_unit_roots(c, field):
+    """Oracle: try every unit of F_p, dividing out each root found."""
+    out = {}
+    cur = poly_trim(c, field)
+    for r in range(1, field.p):
+        m = 0
+        while field.is_zero(poly_eval(cur, r, field)):
+            cur, rem = poly_divmod(cur, [field.neg(r), field.one], field)
+            assert not rem
+            m += 1
+        if m:
+            out[r] = m
+    return out
+
+
+# Every prime field up to 10^4 that the tests and the benchmark use.
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1009)
+
+
+class TestRootKernel:
+    """unit_root_multiplicities splits gcd(f, t^(p-1) - 1) by Cantor-Zassenhaus;
+    the unit scan is its oracle."""
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_matches_scan_oracle(self, p):
+        field, rng = GF(p), random.Random(p)
+        for _ in range(60 if p > 100 else 200):
+            roots = [rng.randrange(p) for _ in range(rng.randint(0, 5))]
+            cofactor = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [rng.randrange(1, p)]
+            c = poly_mul(poly_from_roots(roots, field), cofactor, field)
+            got = unit_root_multiplicities(c, field)
+            assert list(got.items()) == list(scan_unit_roots(c, field).items()), (p, c)
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES[:6])
+    def test_nth_roots_match_scan(self, p):
+        field = GF(p)
+        for n in range(1, 7):
+            for v in range(1, p):
+                want = [r for r in range(1, p) if field.pow(r, n) == v]
+                assert _nth_roots(v, n, field) == want, (p, n, v)
+
+    def test_irreducible_quadratic_factor(self):
+        # t^2 - 3 is irreducible over F_7 (3 is a nonsquare): only 2 and 5 remain
+        c = poly_mul([F7.of(-3), 0, 1], poly_from_roots([2, 5], F7), F7)
+        assert unit_root_multiplicities(c, F7) == {2: 1, 5: 1}
+        assert unit_root_multiplicities([F7.of(-3), 0, 1], F7) == {}
+
+    def test_repeated_roots(self):
+        c = poly_from_roots([F11.of(r) for r in (9, 3, 3, 9, 3, 1)], F11)
+        assert list(unit_root_multiplicities(c, F11).items()) == [(1, 1), (3, 3), (9, 2)]
+
+    def test_root_at_zero_is_not_a_unit(self):
+        c = poly_from_roots([0, 0, 4, 6], F7)
+        assert unit_root_multiplicities(c, F7) == {4: 1, 6: 1}
+
+    def test_every_unit_a_root(self):
+        # t^(p-1) - 1 vanishes on all of F_p^*, the largest split g
+        for p in (2, 3, 13):
+            field = GF(p)
+            c = [field.of(-1)] + [0] * (p - 2) + [1]
+            assert unit_root_multiplicities(c, field) == dict.fromkeys(range(1, p), 1)
+
+    def test_zero_polynomial_raises(self):
+        for c in ([], [0], [0, 0]):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                unit_root_multiplicities(c, F7)
+
+    def test_large_prime(self):
+        field = GF(2**31 - 1)
+        roots = [field.of(r) for r in (2, 2**30, 2**30, 10**9 + 7)]
+        # p = 3 mod 4, so -1 is a nonsquare and t^2 + 1 is irreducible
+        c = poly_mul(poly_from_roots(roots, field), [1, 0, 1], field)
+        got = unit_root_multiplicities(c, field)
+        assert list(got.items()) == [(2, 1), (10**9 + 7, 1), (2**30, 2)]
 
 
 def test_chain_model_validation():

@@ -9,7 +9,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from toricchains.chains import poly_from_roots
 from toricchains.cli import main
+from toricchains.fields import GF
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -130,6 +132,38 @@ class TestPointCommands:
         assert "253186" in captured.err and "100000" in captured.err
 
 
+class TestLargeIntegerGuards:
+    """A single 19-digit integer stops at a guard instead of trial division."""
+
+    BIG = "1000000000000000003"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (f"chain fiber --poly 1,4,1,1 --q {BIG}", f"prime field guard: p = {BIG} exceeds "
+             "the bound 2^31"),
+            (f"point count --family A --n 1 --q {BIG}", f"trial-division guard: n = {BIG}"),
+            (f"point orbit-eq --family A --n 1 --coords {BIG},1 --coords2 1,1 --field Q",
+             f"trial-division guard: n = {BIG}"),
+        ],
+        ids=["chain-fiber", "point-count", "point-orbit-eq"],
+    )
+    def test_exits_2_naming_the_guard(self, argv, message):
+        proc = run_subprocess(argv.split(), 0, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in proc.stderr
+
+    def test_trial_division_guard_names_its_bound(self, capsys):
+        code = main(f"point count --family A --n 1 --q {self.BIG}".split())
+        assert code == 2
+        assert "up to the bound 1000000" in capsys.readouterr().err
+
+    def test_smooth_large_integers_still_factor(self, capsys):
+        # 2^70 has only small prime factors: no guard
+        code, out = run(capsys, *f"point count --family A --n 1 --q {2**70} --json".split())
+        assert code == 0 and json.loads(out)["count"] == 2**70 + 1
+
+
 JSON_COMMANDS = (
     ("point stab --family A --n 2 --coords 0,0,1,1 --field F7 --json", "point"),
     ("point orbit-eq --family A --n 2 --coords 1,2,3,4 --coords2 0,2,3,4 --field F7 --json",
@@ -216,12 +250,30 @@ class TestChainCommands:
         assert code == 2 and captured.out == ""
         assert "1/5" in captured.err and "F_5" in captured.err
 
-    def test_root_scan_guard_names_p_and_bound(self, capsys):
-        code = main("chain from-poly --poly 3,1,1 --field F100003".split())
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "root scan guard" in captured.err and "_ROOT_FIELD_BOUND" in captured.err
-        assert "100003" in captured.err and "100000" in captured.err
+    def test_from_poly_at_p_100003(self, capsys):
+        # 3 is a nonsquare mod 100003 (Euler's criterion), so the
+        # representative stays unnormalized
+        assert pow(3, 100002 // 2, 100003) == 100002
+        code, out = run(capsys, *"chain from-poly --poly 3,1,1 --field F100003 --json".split())
+        assert code == 0
+        assert json.loads(out) == {
+            "coefficients": ["3", "1", "1"], "n": 2, "normalized": False, "twists": ["1"],
+        }
+
+    @pytest.mark.parametrize(
+        "roots, count, profile",
+        [((2, 3, 10**9 + 7, 2**30), 24, [1, 1, 1, 1]), ((5, 5, 5, 2**31 - 2), 4, [1, 3])],
+        ids=["distinct", "triple"],
+    )
+    def test_fiber_at_the_largest_prime(self, capsys, roots, count, profile):
+        p = 2**31 - 1
+        coeffs = poly_from_roots([GF(p).of(r) for r in roots], GF(p))
+        code, out = run(capsys, "chain", "fiber", "--poly", ",".join(map(str, coeffs)),
+                        "--q", str(p), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rational_ordered_preimages"] == count
+        assert payload["multiplicity_profile"] == [profile]
 
     def test_parity(self, capsys):
         code, out = run(capsys, *"chain parity --coeffs 1,3,1 --json".split())
