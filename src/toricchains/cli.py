@@ -299,58 +299,41 @@ def _canonical_stack_ok(n: int) -> bool:
     ).rays
 
 
+def _fans_ok(k: int) -> bool:
+    fan = build_upsilon(FanFamily("A", k))
+    report, desc = check_fan(fan), dg_group(fan)
+    return (
+        report.all_ok
+        and fan.num_rays == 2 * k
+        and len(fan.max_cones) == 2**k
+        and desc.free_rank == k
+        and not desc.torsion
+    )
+
+
+# name: (least n, largest n or None for no cap, the check at one n)
+_VERIFY_CHECKS = {
+    "fans": (1, 8, _fans_ok),
+    "cd-disjoint": (2, None, lm.verify_cd_disjoint),
+    "hyperplane": (2, None, lm.verify_section_hyperplane),
+    "minkowski": (2, 7, lm.verify_minkowski),
+    "divisor": (2, 6, lm.verify_divisor_relation),
+    "cocycle": (3, 5, lm.verify_a_data_cocycle),
+    "fan-map": (2, 3, None),
+    "canonical-stack": (2, 4, _canonical_stack_ok),
+}
+_VERIFY_NAMES = tuple(_VERIFY_CHECKS)
+
+
 def _verify_cases(name: str, n: int) -> List[dict]:
+    lo, hi, check = _VERIFY_CHECKS[name]
     cases = []
-    if name == "cd-disjoint":
-        for k in range(2, n + 1):
-            cases.append({"check": name, "n": k, "ok": lm.verify_cd_disjoint(k)})
-    elif name == "hyperplane":
-        for k in range(2, n + 1):
-            cases.append({"check": name, "n": k, "ok": lm.verify_section_hyperplane(k)})
-    elif name == "minkowski":
-        for k in range(2, min(n, 7) + 1):
-            cases.append({"check": name, "n": k, "ok": lm.verify_minkowski(k)})
-    elif name == "divisor":
-        for k in range(2, min(n, 6) + 1):
-            cases.append({"check": name, "n": k, "ok": lm.verify_divisor_relation(k)})
-    elif name == "cocycle":
-        for k in range(3, min(n, 5) + 1):
-            cases.append({"check": name, "n": k, "ok": lm.verify_a_data_cocycle(k)})
-    elif name == "fan-map":
-        for k in range(2, min(n, 3) + 1):
-            cases.append({"check": "fan-map-C", "n": k, "ok": _fan_map_ok("C", k)})
-            cases.append({"check": "fan-map-B", "n": k, "ok": _fan_map_ok("B", k)})
-    elif name == "canonical-stack":
-        for k in range(2, min(n, 4) + 1):
-            cases.append({"check": name, "n": k, "ok": _canonical_stack_ok(k)})
-    elif name == "fans":
-        for k in range(1, min(n, 8) + 1):
-            fan = build_upsilon(FanFamily("A", k))
-            report = check_fan(fan)
-            desc = dg_group(fan)
-            ok = (
-                report.all_ok
-                and fan.num_rays == 2 * k
-                and len(fan.max_cones) == 2**k
-                and desc.free_rank == k
-                and not desc.torsion
-            )
-            cases.append({"check": name, "n": k, "ok": ok})
-    else:
-        raise ValueError(f"unknown verification {name!r}")
+    for k in range(lo, (n if hi is None else min(n, hi)) + 1):
+        if name == "fan-map":
+            cases += [{"check": f"fan-map-{t}", "n": k, "ok": _fan_map_ok(t, k)} for t in "CB"]
+        else:
+            cases.append({"check": name, "n": k, "ok": check(k)})
     return cases
-
-
-_VERIFY_NAMES = (
-    "fans",
-    "cd-disjoint",
-    "hyperplane",
-    "minkowski",
-    "divisor",
-    "cocycle",
-    "fan-map",
-    "canonical-stack",
-)
 
 
 def _cmd_verify(args) -> int:
@@ -362,12 +345,15 @@ def _cmd_verify(args) -> int:
                 "ok": _fan_map_ok(args.family, args.n),
             }
         ]
-    elif args.what == "all":
-        cases = []
-        for name in _VERIFY_NAMES:
-            cases.extend(_verify_cases(name, args.n))
     else:
-        cases = _verify_cases(args.what, args.n)
+        names = _VERIFY_NAMES if args.what == "all" else (args.what,)
+        cases = [case for name in names for case in _verify_cases(name, args.n)]
+        if not cases:
+            least = min(_VERIFY_CHECKS[name][0] for name in names)
+            raise ValueError(
+                f"verify {args.what} checks no case at n = {args.n}; "
+                f"the least n it covers is {least}"
+            )
     ok = all(c["ok"] for c in cases)
     payload = {"cases": cases, "ok": ok}
     human = "\n".join(

@@ -447,15 +447,23 @@ def bareiss(
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
             sign = -sign
-        top = m[r]
-        piv = top[c]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[c]
-                m[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
-        d = piv
+        d = bareiss_pivot(m, r, c, d)
         pivots.append(c)
     return m, pivots, d, sign
+
+
+def bareiss_pivot(m: List[List[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free pivot on ``m[r][c]``, in place: each other row
+    becomes ``(piv * row - row[c] * m[r]) // d``, ``d`` the previous pivot,
+    and ``piv`` is returned as the next one.  The division is exact when the
+    entries are minors of one integer matrix, as in ``bareiss``."""
+    top = m[r]
+    piv = top[c]
+    for i, row in enumerate(m):
+        if i != r:
+            f = row[c]
+            m[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
+    return piv
 
 
 def solve_rational(

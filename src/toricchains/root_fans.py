@@ -4,11 +4,11 @@ A fan here is a simplicial fan in Z^rank together with a chosen integer
 generator per ray, encoded by the matrix whose columns are the ray
 generators.  The main constructions are the rank-n fans with 2n rays built
 from the block matrix (-C | I_n), C a Cartan matrix, and the permutohedral
-fan of the Losev-Manin space.  Everything is exact.  One fraction-free
-elimination per cone gives its facet functionals, and every cone question
-reads them: the validity checks (simplicial, pure, wall condition,
-completeness), cone membership and the check that a lattice map sends
-cones into cones.  A cone-count guard, ``_CONE_GUARD``, bounds the maximal
+fan of the Losev-Manin space.  Everything is exact.  Facet functionals
+answer every cone question (simplicial, pure, wall condition, completeness,
+membership, lattice maps sending cones into cones); one fraction-free
+elimination gives them for one cone, and one exchange pivot carries them
+across a wall.  A cone-count guard, ``_CONE_GUARD``, bounds the maximal
 cones a construction may list and trips before the first one is built.
 """
 
@@ -25,6 +25,7 @@ from .exact_linalg import (
     FinDiagGroupDesc,
     IntMatrix,
     bareiss,
+    bareiss_pivot,
     cokernel,
     snf,
 )
@@ -338,6 +339,49 @@ def _facet_functionals(fan: StackyFan, cone: Sequence[int]) -> _Functionals:
     return [[s * x for x in row[k:]] for row in m[:k]], [row[k:] for row in m[k:]]
 
 
+def _walk(fan: StackyFan) -> Tuple[dict, dict]:
+    """``(walls, functionals)``: each facet with the (cone, position of the
+    ray off it) pairs that hold it, and each maximal cone's functionals, None
+    for dependent rays.  If c2 swaps ray i of c1 for v, with ``u = |det| B^-1``,
+    ``piv = u_i.v`` and ``f_j = u_j.v``, then c2 has ``sgn(piv) u_i`` and
+    ``sgn(piv) (piv u_j - f_j u_i) / |det c1|``, and ``|det c2| = |piv|``: one
+    Bareiss pivot on ``[u | f]`` at row i.  So one elimination seeds each
+    piece of the wall graph and one pivot reaches each further cone, while
+    ``piv == 0`` (dependent rays) ends the walk.  Cones of another size
+    carry equations and get their own elimination."""
+    walls: Dict[Tuple[int, ...], list] = {}
+    for cone in fan.max_cones:
+        for pos in range(len(cone)):
+            walls.setdefault(cone[:pos] + cone[pos + 1 :], []).append((cone, pos))
+    out: Dict[Tuple[int, ...], Optional[_Functionals]] = {}
+    for seed in fan.max_cones:
+        if seed in out:
+            continue
+        try:
+            out[seed] = _facet_functionals(fan, seed)
+        except ValueError:
+            out[seed] = None
+            continue
+        stack = [seed] if len(seed) == fan.rank else []
+        while stack:
+            c1 = stack.pop()
+            us = out[c1][0]
+            for i in range(len(c1)):
+                for c2, i2 in walls[c1[:i] + c1[i + 1 :]]:
+                    if c2 in out:
+                        continue
+                    m = [u + [_dot(u, fan.rays[c2[i2]])] for u in us]
+                    piv = m[i][-1]
+                    out[c2] = None
+                    if piv != 0:
+                        bareiss_pivot(m, i, fan.rank, _dot(us[i], fan.rays[c1[i]]))
+                        m = [[x if piv > 0 else -x for x in row[:-1]] for row in m]
+                        m.insert(i2, m.pop(i))
+                        out[c2] = (m, [])
+                        stack.append(c2)
+    return walls, out
+
+
 def _in_cone(functionals: _Functionals, v: Sequence[int]) -> bool:
     inequalities, equations = functionals
     return all(_dot(u, v) >= 0 for u in inequalities) and all(
@@ -387,19 +431,10 @@ def check_fan(fan: StackyFan) -> FanReport:
     condition holds and that number is one, so the cones cover space once
     and form a complete fan.
     """
-    functionals: Dict[Tuple[int, ...], Optional[List[List[int]]]] = {}
-    for cone in fan.max_cones:
-        try:
-            functionals[cone] = _facet_functionals(fan, cone)[0]
-        except ValueError:  # dependent rays
-            functionals[cone] = None
+    walls, by_cone = _walk(fan)
+    functionals = {cone: f and f[0] for cone, f in by_cone.items()}
     simplicial = all(f is not None for f in functionals.values())
     pure = all(len(cone) == fan.rank for cone in fan.max_cones)
-
-    walls: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], int]]] = {}
-    for cone in fan.max_cones:
-        for pos in range(len(cone)):
-            walls.setdefault(cone[:pos] + cone[pos + 1 :], []).append((cone, pos))
 
     def opposite(sides) -> bool:
         # The first cone's functional for its ray off the facet must be
@@ -417,7 +452,7 @@ def check_fan(fan: StackyFan) -> FanReport:
         # integer polynomial in M; by Cauchy's bound its roots have absolute
         # value below 1 + max|u_i|.  So x = (1, M, M**2, ...) with M one past
         # every |u_i| lies on no facet hyperplane.
-        M = 1 + max((abs(a) for us in functionals.values() for u in us for a in u), default=0)
+        M = 1 + max((max(map(abs, u)) for us in functionals.values() for u in us), default=0)
         x = [M**i for i in range(fan.rank)]
         inside = sum(all(_dot(u, x) > 0 for u in us) for us in functionals.values())
         complete = inside == 1
@@ -489,9 +524,13 @@ def fan_morphism_check(src: StackyFan, dst: StackyFan, L: IntMatrix) -> bool:
     dst.  Raises ValueError when a cone of dst has dependent rays."""
     if L.cols != src.rank or L.rows != dst.rank:
         raise ValueError("lattice map shape does not match fan ranks")
-    functionals = [_facet_functionals(dst, dcone) for dcone in dst.max_cones]
+    by_cone = _walk(dst)[1]
+    # A fresh elimination raises on the first cone with dependent rays.
+    functionals = [by_cone[c] or _facet_functionals(dst, c) for c in dst.max_cones]
     for cone in src.max_cones:
         images = [L.mul_vector(list(src.rays[i])) for i in cone]
+        # A cone that holds every image holds their sum, so the sum goes first.
+        images.insert(0, [sum(xs) for xs in zip(*images)])
         if not any(all(_in_cone(f, img) for img in images) for f in functionals):
             return False
     return True

@@ -76,6 +76,13 @@ class TestFanCommands:
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["max_cones"]) == 2**14
 
+    def test_largest_admitted_fan_check(self):
+        proc = run_subprocess("fan check --family A --n 14 --json".split(), 0, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["max_cones"] == 2**14
+        assert all(payload[k] for k in ("simplicial", "pure", "wall_condition", "complete"))
+
 
 class TestPointCommands:
     def test_stab(self, capsys):
@@ -344,6 +351,20 @@ class TestPolytopeAndVerify:
     def test_verify_fan_map_family(self, capsys):
         code, out = run(capsys, *"verify fan-map --n 2 --family C --json".split())
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "what, least",
+        [("all", 1), ("fans", 1), ("cd-disjoint", 2), ("hyperplane", 2), ("minkowski", 2),
+         ("divisor", 2), ("cocycle", 3), ("fan-map", 2), ("canonical-stack", 2)],
+    )
+    def test_verify_without_cases_exits_2(self, capsys, what, least):
+        code = main(["verify", what, "--n", str(least - 1), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"verify {what} checks no case at n = {least - 1}" in captured.err
+        assert f"the least n it covers is {least}" in captured.err
+        code, out = run(capsys, "verify", what, "--n", str(least), "--json")
+        assert code == 0 and json.loads(out)["cases"]
 
     def test_verify_all(self, capsys):
         code, out = run(capsys, *"verify all --n 3 --json".split())

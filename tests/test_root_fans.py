@@ -9,9 +9,11 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from toricchains import root_fans
 from toricchains.exact_linalg import IntMatrix, hnf, invert_rational, solve_rational
 from toricchains.root_fans import (
     FanFamily,
+    FanReport,
     StackyFan,
     WeightTorsionError,
     build_sigma_A,
@@ -27,6 +29,10 @@ from toricchains.root_fans import (
     standard_fan_map,
     upsilon_beta,
     weight_matrix,
+    _dot,
+    _facet_functionals,
+    _in_cone,
+    _walk,
 )
 
 
@@ -134,15 +140,18 @@ class TestBuildUpsilon:
         assert not report.wall_condition
 
     def test_every_one_cone_drop_is_incomplete(self):
-        for fan in (
-            build_upsilon(FanFamily("A", 6)),
-            build_upsilon(FanFamily("C", 6)),
-            build_sigma_A(5),
-        ):
+        # The wall walk gives the per-cone eliminations' functionals and
+        # report on every drop.
+        for tag, n in (("A", 4), ("A", 6), ("B", 4), ("C", 5), ("C", 6), ("Cminus", 5),
+                       ("SigmaA", 4), ("SigmaA", 5)):
+            fan = _family_fan(tag, n)
             for k in range(len(fan.max_cones)):
                 cones = fan.max_cones[:k] + fan.max_cones[k + 1 :]
-                report = check_fan(StackyFan(fan.rank, fan.rays, fan.ray_labels, cones))
-                assert not report.complete and not report.all_ok, (fan.family, k)
+                broken = StackyFan(fan.rank, fan.rays, fan.ray_labels, cones)
+                assert _walk(broken)[1] == per_cone_functionals(broken), (tag, n, k)
+                report = check_fan(broken)
+                assert report == oracle_check_fan(broken), (tag, n, k)
+                assert not report.complete and not report.all_ok, (tag, n, k)
 
     def test_double_cover_is_rejected(self):
         # Every wall lies in two cones, on opposite sides, yet every point
@@ -186,6 +195,56 @@ def _fold():
 # ---------------------------------------------------------------------------
 # Oracles: the code paths the facet-functional kernel replaced
 # ---------------------------------------------------------------------------
+
+
+def per_cone_functionals(fan: StackyFan) -> dict:
+    """One elimination of [B | I] for every maximal cone; None for
+    dependent rays."""
+    out = {}
+    for cone in fan.max_cones:
+        try:
+            out[cone] = _facet_functionals(fan, cone)
+        except ValueError:
+            out[cone] = None
+    return out
+
+
+def oracle_check_fan(fan: StackyFan) -> FanReport:
+    """check_fan with one elimination per cone in place of the wall walk;
+    the walls, the opposite-side test and the Cauchy point are the same."""
+    functionals = {cone: f and f[0] for cone, f in per_cone_functionals(fan).items()}
+    simplicial = all(f is not None for f in functionals.values())
+    pure = all(len(cone) == fan.rank for cone in fan.max_cones)
+    walls: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], int]]] = {}
+    for cone in fan.max_cones:
+        for pos in range(len(cone)):
+            walls.setdefault(cone[:pos] + cone[pos + 1 :], []).append((cone, pos))
+
+    def opposite(sides) -> bool:
+        (c1, i1), (c2, i2) = sides
+        return _dot(functionals[c1][i1], fan.rays[c2[i2]]) < 0
+
+    wall = pure and simplicial and all(
+        len(sides) == 2 and opposite(sides) for sides in walls.values()
+    )
+    complete = False
+    if wall:
+        M = 1 + max((abs(a) for us in functionals.values() for u in us for a in u), default=0)
+        x = [M**i for i in range(fan.rank)]
+        inside = sum(all(_dot(u, x) > 0 for u in us) for us in functionals.values())
+        complete = inside == 1
+    return FanReport(simplicial, pure, wall, complete)
+
+
+def oracle_morphism_check(src: StackyFan, dst: StackyFan, L: IntMatrix) -> bool:
+    """The all-images loop: one elimination per target cone, and every
+    image ray tested on every target cone, with no prefilter."""
+    functionals = [_facet_functionals(dst, dcone) for dcone in dst.max_cones]
+    for cone in src.max_cones:
+        images = [L.mul_vector(list(src.rays[i])) for i in cone]
+        if not any(all(_in_cone(f, img) for img in images) for f in functionals):
+            return False
+    return True
 
 
 def cones_pairwise_faces(fan: StackyFan) -> bool:
@@ -387,7 +446,9 @@ class TestFanMapsAgainstOracle:
         L, src, dst = standard_fan_map(tag, n)
         minus = IntMatrix(L.rows, L.cols, tuple(-x for x in L.entries))
         assert fan_morphism_check(src, dst, L) and solve_morphism_check(src, dst, L)
+        assert oracle_morphism_check(src, dst, L)
         assert fan_morphism_check(src, dst, minus) == solve_morphism_check(src, dst, minus)
+        assert fan_morphism_check(src, dst, minus) == oracle_morphism_check(src, dst, minus)
         # At n = 1 the source is a line, and -1 swaps its two cones.
         assert fan_morphism_check(src, dst, minus) == (n == 1)
 
@@ -404,6 +465,146 @@ class TestFanMapsAgainstOracle:
         assert sorted(mapped) == [False, True, True, True]
         assert not fan_morphism_check(fan, fan, L)
         assert not solve_morphism_check(fan, fan, L)
+
+
+def _family_fan(tag: str, n: int) -> StackyFan:
+    return build_sigma_A(n) if tag == "SigmaA" else build_upsilon(FanFamily(tag, n))
+
+
+def _record_seeds(monkeypatch) -> List[Tuple[int, ...]]:
+    """The cones that get a fresh elimination, in order."""
+    seeds = []
+
+    def spy(fan, cone):
+        seeds.append(tuple(cone))
+        return _facet_functionals(fan, cone)
+
+    monkeypatch.setattr(root_fans, "_facet_functionals", spy)
+    return seeds
+
+
+def _plane(rays, cones) -> StackyFan:
+    return StackyFan(2, tuple(rays), tuple(f"r{i}" for i in range(len(rays))), tuple(cones))
+
+
+def _a2_with(cones) -> StackyFan:
+    fan = build_upsilon(FanFamily("A", 2))
+    return StackyFan(fan.rank, fan.rays, fan.ray_labels, fan.max_cones + tuple(cones))
+
+
+# Rays (1,0), (0,1), (2,0), (0,-1): the walk reaches (0, 2) from (0, 1) by
+# one exchange with piv = 0, and (2, 3), beyond it, needs a second seed.
+_EXCHANGE_DEPENDENT = _plane(((1, 0), (0, 1), (2, 0), (0, -1)), ((0, 1), (0, 2), (2, 3)))
+
+# Two cones with no common facet: two pieces of the wall graph.
+_TWO_PIECES = _plane(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (2, 3)))
+
+WALK_FANS = (
+    [(t, n) for t in ("A", "B", "Bcan", "C") for n in range(1, 7)]
+    + [("Cminus", n) for n in range(2, 8)]
+    + [("SigmaA", n) for n in range(3, 6)]
+)
+
+NEGATIVE_CONTROLS = {
+    "double-cover": _double_cover(),
+    "fold": _fold(),
+    "duplicated-cone": _a2_with([(0, 1)]),
+    "non-pure-facet": _a2_with([(0,)]),
+    "non-pure-three-rays": _a2_with([(0, 1, 2)]),
+    "exchange-dependent": _EXCHANGE_DEPENDENT,
+    "two-pieces": _TWO_PIECES,
+}
+
+
+class TestWallWalk:
+    @pytest.mark.parametrize("tag, n", WALK_FANS, ids=[f"{t}{n}" for t, n in WALK_FANS])
+    def test_functionals_match_one_elimination_per_cone(self, tag, n, monkeypatch):
+        fan = _family_fan(tag, n)
+        seeds = _record_seeds(monkeypatch)
+        walked = _walk(fan)[1]
+        # The wall graph of a fan is connected: one elimination in all.
+        assert seeds == [fan.max_cones[0]]
+        # Equal lists: the same signs and the same scale, cone by cone.
+        assert walked == per_cone_functionals(fan)
+        assert check_fan(fan) == oracle_check_fan(fan) == FanReport(True, True, True, True)
+
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+    def test_negative_controls_match_oracle(self, name):
+        fan = NEGATIVE_CONTROLS[name]
+        assert _walk(fan)[1] == per_cone_functionals(fan)
+        report = check_fan(fan)
+        assert report == oracle_check_fan(fan) and not report.all_ok
+
+    def test_negative_control_flags(self):
+        assert check_fan(_double_cover()) == FanReport(True, True, True, False)
+        assert check_fan(_a2_with([(0, 1)])) == FanReport(True, True, False, False)
+        assert check_fan(_a2_with([(0,)])) == FanReport(True, False, False, False)
+        assert check_fan(_a2_with([(0, 1, 2)])) == FanReport(False, False, False, False)
+        assert check_fan(_EXCHANGE_DEPENDENT) == FanReport(False, True, False, False)
+        assert check_fan(_TWO_PIECES) == FanReport(True, True, False, False)
+
+    def test_dependent_cone_reached_by_exchange(self, monkeypatch):
+        seeds = _record_seeds(monkeypatch)
+        walked = _walk(_EXCHANGE_DEPENDENT)[1]
+        assert walked[(0, 2)] is None
+        # (0, 2) got no elimination of its own, and the walk did not pass it.
+        assert seeds == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("name", ["double-cover", "two-pieces"])
+    def test_one_seed_per_piece(self, name, monkeypatch):
+        seeds = _record_seeds(monkeypatch)
+        _walk(NEGATIVE_CONTROLS[name])
+        assert len(seeds) == 2
+
+    @pytest.mark.parametrize("tag, n", [("A", 3), ("SigmaA", 4), ("C", 3)])
+    def test_random_rays_match_oracle(self, tag, n):
+        # The cones of a fan on random rays: dependent cones, walls on the
+        # wrong side and covers of every multiplicity.
+        fan = _family_fan(tag, n)
+        rng = random.Random(f"walk/{tag}{n}")
+        reports = set()
+        for _ in range(100):
+            rays = []
+            while len(rays) < fan.num_rays:
+                v = tuple(rng.randint(-2, 2) for _ in range(fan.rank))
+                if any(v):
+                    rays.append(v)
+            moved = StackyFan(fan.rank, tuple(rays), fan.ray_labels, fan.max_cones)
+            assert _walk(moved)[1] == per_cone_functionals(moved)
+            report = check_fan(moved)
+            assert report == oracle_check_fan(moved)
+            reports.add(report)
+        assert FanReport(False, True, False, False) in reports
+        assert FanReport(True, True, False, False) in reports
+
+
+class TestFanMapPrefilter:
+    @pytest.mark.parametrize(
+        "dst",
+        [build_upsilon(FanFamily("A", 2)), build_upsilon(FanFamily("C", 2)), build_sigma_A(3),
+         _double_cover(), _fold(), _a2_with([(0,)]), _TWO_PIECES],
+        ids=["A2", "C2", "SigmaA3", "double-cover", "fold", "non-pure", "two-pieces"],
+    )
+    def test_random_maps_match_oracle(self, dst):
+        # The sum of the images goes first; the answer must not change, also
+        # when the target is not a fan.
+        rng = random.Random(f"prefilter/{dst.max_cones}")
+        answers = set()
+        for src in (build_upsilon(FanFamily("A", 2)), build_upsilon(FanFamily("B", 2)),
+                    build_sigma_A(3)):
+            for _ in range(40):
+                L = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+                expected = oracle_morphism_check(src, dst, L)
+                assert fan_morphism_check(src, dst, L) == expected, (src.max_cones, L)
+                answers.add(expected)
+        assert True in answers and False in answers
+
+    def test_dependent_target_raises_like_the_oracle(self):
+        src = build_upsilon(FanFamily("A", 2))
+        for dst, cone in ((_EXCHANGE_DEPENDENT, r"\(0, 2\)"), (_a2_with([(0, 1, 2)]), r"\(0, 1, 2\)")):
+            for check in (fan_morphism_check, oracle_morphism_check):
+                with pytest.raises(ValueError, match=f"cone {cone} has linearly dependent rays"):
+                    check(src, dst, IntMatrix.identity(2))
 
 
 class TestConeCountGuard:
