@@ -337,7 +337,9 @@ def _verify_cases(name: str, n: int) -> List[dict]:
 
 
 def _cmd_verify(args) -> int:
-    if args.family is not None and args.what == "fan-map":
+    if args.family is not None and args.what != "fan-map":
+        raise ValueError("--family applies to verify fan-map only")
+    if args.family is not None:
         cases = [
             {
                 "check": f"fan-map-{args.family}",

@@ -2,6 +2,13 @@
 certified unimodular transforms, integer kernels and cokernels, and the
 finite diagonalizable-group descriptors read off from invariant factors.
 
+One in-place row-Hermite loop, ``_hermite``, is the only unimodular
+elimination: ``hnf`` runs it on ``[A | I]`` and ``snf`` alternates it on
+``[M | U]`` and ``[M^T | V^T]`` (Kannan & Bachem 1979).  Both integer
+solvers back-substitute through one Smith form, ``SmithForm.solve``, which
+treats ``Z`` as ``Z/0Z``.  ``bareiss`` is the one fraction-free elimination
+behind rank, determinant, adjugate and rational solve.
+
 All arithmetic is arbitrary-precision Python integers; fixed-width integer
 types are deliberately not used anywhere.  Normal forms follow one fixed
 convention (row-style Hermite form, positive pivots, entries above pivots
@@ -84,12 +91,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return [sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows)]
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows)
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -124,6 +125,23 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return sum(1 for x in self.d if x != 0)
+
+    def solve(self, b: Sequence[int], modulus: int = 0) -> Optional[List[int]]:
+        """One x with A x = b in Z/modulus, for the A this form decomposes,
+        or None if there is none; modulus 0 solves over Z.  With
+        U*A*V = diag(d) this solves d_i y_i = (U b)_i row by row and
+        returns x = V y, reduced mod a positive modulus."""
+        y = [0] * self.V.rows
+        for i, c in enumerate(self.U.mul_vector(b)):
+            d = self.d[i] if i < len(self.d) else 0
+            g = math.gcd(d, modulus)  # d y = c is solvable iff g | c
+            if (c % g if g else c) != 0:  # 0 divides only 0
+                return None
+            if d:
+                step = modulus // g  # y_i is determined mod step
+                y[i] = c // g * pow(d // g, -1, step) % step if step else c // g
+        x = self.V.mul_vector(y)
+        return [xi % modulus for xi in x] if modulus else x
 
 
 @dataclass(frozen=True)
@@ -162,32 +180,27 @@ class FinDiagGroupDesc:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def _row_xgcd_ops(m: List[List[int]], u: List[List[int]], i1: int, i2: int, col: int) -> None:
+def _row_xgcd_ops(m: List[List[int]], i1: int, i2: int, col: int) -> None:
     """Left-multiply rows i1,i2 by the 2x2 unimodular matrix that puts
     gcd(m[i1][col], m[i2][col]) at (i1, col) and 0 at (i2, col).
 
-    When the pivot already divides the target the pivot row is left
-    untouched; this is what makes the row/column alternation terminate."""
+    When the pivot already divides the target only the target row changes,
+    so a pivot row that ``snf`` has cleared stays clear."""
     a, b = m[i1][col], m[i2][col]
     if b == 0:
         return
     if a == 0:
         m[i1], m[i2] = m[i2], [-x for x in m[i1]]
-        u[i1], u[i2] = u[i2], [-x for x in u[i1]]
         return
     if b % a == 0:
         q = b // a
         m[i2] = [p - q * s for p, s in zip(m[i2], m[i1])]
-        u[i2] = [p - q * s for p, s in zip(u[i2], u[i1])]
         return
     g, s, t = _xgcd(a, b)
     x, y = a // g, b // g
-    r1 = [s * p + t * q for p, q in zip(m[i1], m[i2])]
-    r2 = [-y * p + x * q for p, q in zip(m[i1], m[i2])]
-    m[i1], m[i2] = r1, r2
-    w1 = [s * p + t * q for p, q in zip(u[i1], u[i2])]
-    w2 = [-y * p + x * q for p, q in zip(u[i1], u[i2])]
-    u[i1], u[i2] = w1, w2
+    r1, r2 = m[i1], m[i2]
+    m[i1] = [s * p + t * q for p, q in zip(r1, r2)]
+    m[i2] = [-y * p + x * q for p, q in zip(r1, r2)]
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -205,149 +218,94 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _augment(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Rows of ``[rows | I]``."""
+    out = []
+    for i, row in enumerate(rows):
+        unit = [0] * len(rows)
+        unit[i] = 1
+        out.append(list(row) + unit)
+    return out
+
+
+def _hermite(m: List[List[int]], width: int) -> None:
+    """Row Hermite normal form of the first ``width`` columns, in place;
+    later columns ride along, so ``[A | I]`` ends as ``[H | U]`` with
+    ``U*A = H``.  Pivots are positive and the entries above each pivot are
+    reduced into ``[0, pivot)``.  This is the one unimodular elimination:
+    ``hnf`` and ``snf`` are built on it."""
+    r = 0
+    for c in range(width):
+        if r == len(m):
+            break
+        # Collapse column c below row r to a single gcd entry.
+        nz = [i for i in range(r, len(m)) if m[i][c] != 0]
+        if not nz:
+            continue
+        pivot_row = nz[0]
+        for i in nz[1:]:
+            _row_xgcd_ops(m, pivot_row, i, c)
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        top = m[r]
+        pivot = top[c]
+        for i in range(r):
+            q = m[i][c] // pivot  # floor division reduces into [0, pivot)
+            if q:
+                m[i] = [p - q * s for p, s in zip(m[i], top)]
+        r += 1
+
+
 def hnf(A: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
     Returns (H, U) with U unimodular, U*A = H, pivots positive, entries
     above each pivot reduced into [0, pivot).
     """
-    m = A.to_rows()
-    u = IntMatrix.identity(A.rows).to_rows()
-    r = 0
-    for c in range(A.cols):
-        # Collapse column c below row r to a single gcd entry.
-        nz = [i for i in range(r, A.rows) if m[i][c] != 0]
-        if not nz:
-            continue
-        pivot_row = nz[0]
-        for i in nz[1:]:
-            _row_xgcd_ops(m, u, pivot_row, i, c)
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-            u[r] = [-x for x in u[r]]
-        pivot = m[r][c]
-        for i in range(r):
-            q = m[i][c] // pivot  # floor division reduces into [0, pivot)
-            if q:
-                m[i] = [p - q * s for p, s in zip(m[i], m[r])]
-                u[i] = [p - q * s for p, s in zip(u[i], u[r])]
-        r += 1
-        if r == A.rows:
-            break
-    return IntMatrix.from_rows(m), IntMatrix.from_rows(u)
+    m = _augment(A.to_rows())
+    _hermite(m, A.cols)
+    return (
+        IntMatrix(A.rows, A.cols, tuple(x for row in m for x in row[: A.cols])),
+        IntMatrix(A.rows, A.rows, tuple(x for row in m for x in row[A.cols :])),
+    )
 
 
 def snf(A: IntMatrix) -> SmithForm:
-    """Smith normal form by iterated gcd pivoting with transform tracking.
+    """Smith normal form by alternating Hermite forms (Kannan & Bachem 1979).
 
-    Deterministic and fully exact; the invariant factors are nonnegative
-    and form a divisibility chain.
+    Row Hermite forms of ``[M | U]`` and of ``[M^T | V^T]`` alternate until
+    ``M`` is diagonal.  Where ``d_i`` does not divide ``d_(i+1)``, column
+    ``i+1`` is added to column ``i`` and the next Hermite pass replaces
+    ``d_i`` by the gcd.  Returns ``U*A*V = diag(d)`` with ``U`` and ``V``
+    unimodular and ``d`` a nonnegative divisibility chain, zeros last.
     """
-    m = A.to_rows()
-    u = IntMatrix.identity(A.rows).to_rows()
-    v = IntMatrix.identity(A.cols).to_rows()
-    nr, nc = A.rows, A.cols
-
-    def col_op(j1: int, j2: int, row: int) -> None:
-        # Column analogue of _row_xgcd_ops, acting on m and v.
-        a = m[row][j1]
-        b = m[row][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for mat in (m, v):
-                for rr in mat:
-                    rr[j1], rr[j2] = rr[j2], -rr[j1]
-            return
-        if b % a == 0:
-            q = b // a
-            for mat in (m, v):
-                for rr in mat:
-                    rr[j2] -= q * rr[j1]
-            return
-        g, s, t = _xgcd(a, b)
-        x, y = a // g, b // g
-        for mat in (m, v):
-            for rr in mat:
-                p, q = rr[j1], rr[j2]
-                rr[j1] = s * p + t * q
-                rr[j2] = -y * p + x * q
-
-    k = 0
-    limit = min(nr, nc)
-    while k < limit:
-        # Move a nonzero entry into the pivot slot if the remaining block
-        # is nonzero; otherwise we are done.
-        found = False
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if m[i][j] != 0:
-                    if i != k:
-                        m[k], m[i] = m[i], m[k]
-                        u[k], u[i] = u[i], u[k]
-                    if j != k:
-                        for mat in (m, v):
-                            for rr in mat:
-                                rr[k], rr[j] = rr[j], rr[k]
-                    found = True
-                    break
-            if found:
+    m = _augment(A.to_rows())  # [M | U]
+    other = _augment([()] * A.cols)  # V^T: its row j tracks column j of M
+    width, flipped = A.cols, False
+    while True:
+        _hermite(m, width)
+        if not any(any(row[:i]) or any(row[i + 1 : width]) for i, row in enumerate(m)):
+            d = [m[i][i] for i in range(min(len(m), width))]
+            i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+            if i is None:
                 break
-        if not found:
-            break
-        # Alternate clearing row k and column k until both are clear.
-        while True:
-            for i in range(k + 1, nr):
-                if m[i][k] != 0:
-                    _row_xgcd_ops(m, u, k, i, k)
-            if any(m[k][j] != 0 for j in range(k + 1, nc)):
-                for j in range(k + 1, nc):
-                    if m[k][j] != 0:
-                        col_op(k, j, k)
-                # Column ops may have reintroduced entries below the pivot.
-                if all(m[i][k] == 0 for i in range(k + 1, nr)):
-                    break
-            else:
-                break
-        k += 1
-
-    # Fix signs, then enforce the divisibility chain d_i | d_{i+1}.
-    for i in range(limit):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            a, b = m[i][i], m[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                changed = True
-                # Add column i+1 to column i, then re-diagonalize the 2x2
-                # block [[a, 0], [b, b]] with exact gcd operations.
-                for mat in (m, v):
-                    for rr in mat:
-                        rr[i] += rr[i + 1]
-                _row_xgcd_ops(m, u, i, i + 1, i)
-                col_op(i, i + 1, i)
-                for j in (i, i + 1):
-                    if m[j][j] < 0:
-                        m[j] = [-x for x in m[j]]
-                        u[j] = [-x for x in u[j]]
-                # Clear any residue left in the off-diagonal slots.
-                if m[i + 1][i] != 0:
-                    _row_xgcd_ops(m, u, i, i + 1, i)
-                if m[i][i + 1] != 0:
-                    col_op(i, i + 1, i)
-
-    d = tuple(m[i][i] for i in range(limit))
-    # Trailing zeros are permitted; nonzero entries must come first.
-    nonzero = [x for x in d if x != 0]
-    d = tuple(nonzero) + (0,) * (limit - len(nonzero))
-    return SmithForm(d, IntMatrix.from_rows(u), IntMatrix.from_rows(v))
+            for row in m:
+                row[i] += row[i + 1]
+            other[i] = [p + q for p, q in zip(other[i], other[i + 1])]
+            continue
+        # Column operations on M are row operations on [M^T | V^T].
+        left = [row[width:] for row in m]
+        m = [[row[j] for row in m] + o for j, o in enumerate(other)]
+        other, width, flipped = left, len(left), not flipped
+    left = [row[width:] for row in m]
+    u, vt = (other, left) if flipped else (left, other)
+    return SmithForm(
+        tuple(d),
+        IntMatrix(A.rows, A.rows, tuple(x for row in u for x in row)),
+        IntMatrix(A.cols, A.cols, tuple(row[i] for i in range(A.cols) for row in vt)),
+    )
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -358,11 +316,8 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     """
     form = snf(A)
     r = form.rank
-    cols = [form.V.col(j) for j in range(r, A.cols)]
-    if not cols:
-        return IntMatrix.zeros(A.cols, 0)
-    rows = [[c[i] for c in cols] for i in range(A.cols)]
-    return IntMatrix.from_rows(rows)
+    entries = tuple(x for i in range(A.cols) for x in form.V.row(i)[r:])
+    return IntMatrix(A.cols, A.cols - r, entries)
 
 
 def cokernel(A: IntMatrix) -> FinDiagGroupDesc:
@@ -376,19 +331,7 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
     """One integer solution x of A x = b, or None if unsolvable."""
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
-    form = snf(A)
-    c = form.U.mul_vector(list(b))
-    y = [0] * A.cols
-    for i in range(len(c)):
-        di = form.d[i] if i < len(form.d) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return form.V.mul_vector(y)
+    return snf(A).solve(b)
 
 
 def solve_mod(A: IntMatrix, b: Sequence[int], modulus: int) -> Optional[List[int]]:
@@ -397,28 +340,7 @@ def solve_mod(A: IntMatrix, b: Sequence[int], modulus: int) -> Optional[List[int
         raise ValueError("modulus must be positive")
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
-    form = snf(A)
-    c = form.U.mul_vector(list(b))
-    y = [0] * A.cols
-    for i in range(len(c)):
-        di = form.d[i] if i < len(form.d) else 0
-        g = math.gcd(di, modulus)
-        ci = c[i] % modulus
-        if g == 0:
-            # di == 0 and modulus > 0 cannot happen (gcd(0, m) = m > 0)
-            raise AssertionError
-        if di == 0:
-            if ci != 0:
-                return None
-            continue
-        if ci % g != 0:
-            return None
-        # Solve di * y = ci (mod modulus).
-        m2 = modulus // g
-        inv = pow((di // g) % m2, -1, m2) if m2 > 1 else 0
-        y[i] = ((ci // g) * inv) % modulus if m2 > 1 else 0
-    x = form.V.mul_vector(y)
-    return [xi % modulus for xi in x]
+    return snf(A).solve(b, modulus)
 
 
 def bareiss(

@@ -35,7 +35,7 @@ from .exact_linalg import (
     IntMatrix,
     cokernel,
     hnf,
-    solve_integer,
+    snf,
     solve_mod,
 )
 from .fields import Element, Field, PrimeField, RationalField
@@ -251,13 +251,14 @@ def solve_units(
     if isinstance(field, RationalField):
         values = [Fraction(t) for t in targets]
         primes, vals, signs = _rational_factor_data(values)
+        form = snf(A)  # one Smith form for every prime and the signs
         exps = {}
         for q in primes:
-            x = solve_integer(A, vals[q])
+            x = form.solve(vals[q])
             if x is None:
                 return None
             exps[q] = x
-        s = solve_mod(A, signs, 2)
+        s = form.solve(signs, 2)
         if s is None:
             return None
         units = []

@@ -92,9 +92,6 @@ class StackyFan:
             [[v[i] for v in self.rays] for i in range(self.rank)]
         )
 
-    def label_index(self, label: str) -> int:
-        return self.ray_labels.index(label)
-
     def to_json(self) -> str:
         payload = {
             "rank": self.rank,
@@ -483,10 +480,10 @@ class WeightTorsionError(ValueError):
 def dg_group(fan: StackyFan) -> FinDiagGroupDesc:
     """The diagonalizable group acting in the quotient construction:
     cokernel of the transpose of the ray matrix."""
-    beta = fan.beta
-    if snf(beta).rank != fan.rank:
+    desc = cokernel(fan.beta.T)
+    if desc.free_rank != fan.num_rays - fan.rank:
         raise ValueError("rays do not span the ambient space")
-    return cokernel(beta.T)
+    return desc
 
 
 def weight_matrix(fan: StackyFan) -> IntMatrix:
@@ -494,25 +491,27 @@ def weight_matrix(fan: StackyFan) -> IntMatrix:
 
     For a fan of block shape (-C | I) this is the block matrix (I | C^T):
     coordinate a_i carries the i-th standard character and coordinate b_i the
-    i-th column of C^T.  In general the weights are read off a unimodular
-    transform of the transposed ray matrix.  Requires a torsion-free group.
+    i-th column of C^T; the identity block makes the group free, so no Smith
+    form is needed.  In general the weights are the rows of the unimodular
+    U in one Smith form U*beta^T*V = diag(d) past the rank, which also gives
+    the rank and torsion checks.  Requires a torsion-free group.
     """
-    desc = dg_group(fan)
-    if desc.torsion:
-        raise WeightTorsionError(
-            f"acting group has torsion {desc.torsion}; no split weight matrix"
-        )
+    n = fan.rank
     if fan.family is not None and fan.family.tag in ("A", "B", "Bcan", "C"):
-        n = fan.rank
         beta = fan.beta
-        c_t = [[-beta[j, i] for j in range(n)] for i in range(n)]
-        ident = IntMatrix.identity(n).to_rows()
-        w = IntMatrix.from_rows([ident[i] + c_t[i] for i in range(n)])
+        w = IntMatrix.from_rows(
+            [[int(i == j) for j in range(n)] + [-beta[j, i] for j in range(n)] for i in range(n)]
+        )
     else:
         form = snf(fan.beta.T)
-        r = form.rank
-        rows = [list(form.U.row(i)) for i in range(r, fan.num_rays)]
-        w = IntMatrix.from_rows(rows)
+        if form.rank != n:
+            raise ValueError("rays do not span the ambient space")
+        torsion = tuple(x for x in form.d if x > 1)
+        if torsion:
+            raise WeightTorsionError(
+                f"acting group has torsion {torsion}; no split weight matrix"
+            )
+        w = IntMatrix.from_rows([list(form.U.row(i)) for i in range(n, fan.num_rays)])
     # The weights must kill the image of the character lattice.
     prod = w * fan.beta.T
     assert all(x == 0 for x in prod.entries)

@@ -352,6 +352,13 @@ class TestPolytopeAndVerify:
         code, out = run(capsys, *"verify fan-map --n 2 --family C --json".split())
         assert code == 0
 
+    @pytest.mark.parametrize("what", ["fans", "all"])
+    def test_verify_family_outside_fan_map_exits_2(self, capsys, what):
+        code = main(["verify", what, "--n", "2", "--family", "B", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: --family applies to verify fan-map only" in captured.err
+
     @pytest.mark.parametrize(
         "what, least",
         [("all", 1), ("fans", 1), ("cd-disjoint", 2), ("hyperplane", 2), ("minkowski", 2),
@@ -396,3 +403,24 @@ class TestDeterminism:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+
+def test_cli_imports_only_the_standard_library():
+    """Importing the CLI in a fresh interpreter adds only standard-library
+    modules and toricchains itself: the runtime has no third-party dependency."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import toricchains.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=ROOT, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "toricchains" in added
+    outside = [m for m in added if m != "toricchains" and m not in sys.stdlib_module_names]
+    assert outside == []

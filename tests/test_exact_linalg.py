@@ -6,6 +6,7 @@ sympy's implementation, which serves as the independent oracle for the
 hand-rolled pivoting code.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -50,6 +51,13 @@ small_matrices = st.integers(1, 6).flatmap(
     )
 )
 
+# Shapes from 0 x 0 up to 6 x 6, empty ones included.
+any_shape_matrices = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda rc: st.lists(
+        st.integers(-9, 9), min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]
+    ).map(lambda xs: IntMatrix(rc[0], rc[1], tuple(xs)))
+)
+
 square_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
@@ -82,6 +90,22 @@ class TestHNF:
             h, u = hnf(a)
             h2, _ = hnf(h)
             assert h2.to_rows() == h.to_rows()
+
+    @pytest.mark.parametrize(
+        "rows, h, u",
+        [
+            ([[3, -2, 5], [6, 1, -4], [-9, 7, 2]],
+             [[3, 0, 39], [0, 1, 17], [0, 0, 99]], [[7, 0, 2], [3, 0, 1], [17, -1, 5]]),
+            ([[0, 4, 6], [2, 3, 1]], [[2, 3, 1], [0, 4, 6]], [[0, 1], [1, 0]]),
+            ([[1, 2], [3, 4], [5, 6]], [[1, 0], [0, 2], [0, 0]],
+             [[-2, 1, 0], [3, -1, 0], [1, -2, 1]]),
+        ],
+    )
+    def test_transform_pinned(self, rows, h, u):
+        """H is unique but U is not: these U pin the order of the row
+        operations, so that a change of the elimination shows here."""
+        hh, uu = hnf(_mat(rows))
+        assert (hh.to_rows(), uu.to_rows()) == (h, u)
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
@@ -139,6 +163,70 @@ class TestSNF:
         ours = [x for x in snf(_mat(rows)).d if x]
         theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows)) if int(x) != 0]
         assert ours == theirs
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 2)])
+    def test_zero_shapes(self, shape):
+        r, c = shape
+        a = IntMatrix.zeros(r, c)
+        form = snf(a)
+        assert form.d == (0,) * min(r, c) and form.rank == 0
+        assert (form.U.rows, form.U.cols, form.V.rows, form.V.cols) == (r, r, c, c)
+        assert form.U.is_unimodular() and form.V.is_unimodular()
+        assert _is_diag(form.U * a * form.V, form.d)
+        assert cokernel(a) == FinDiagGroupDesc(r, ())
+        assert kernel_basis(a).cols == c
+
+    @pytest.mark.parametrize(
+        "diag, chain",
+        [((2, 3), (1, 6)), ((4, 6), (2, 12)), ((6, 10, 15), (1, 30, 30))],
+    )
+    def test_chain_repair(self, diag, chain):
+        """A diagonal input that is not a divisibility chain: each failing
+        pair is repaired by adding column i+1 to column i."""
+        n = len(diag)
+        a = _mat([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        form = snf(a)
+        assert form.d == chain
+        assert _is_diag(form.U * a * form.V, chain)
+        assert form.U.is_unimodular() and form.V.is_unimodular()
+
+    @given(any_shape_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_certificate_on_any_shape(self, a):
+        form = snf(a)
+        assert len(form.d) == min(a.rows, a.cols)
+        assert _is_diag(form.U * a * form.V, form.d)
+        assert form.U.is_unimodular() and form.V.is_unimodular()
+        nonzero = [x for x in form.d if x]
+        assert form.d == tuple(nonzero) + (0,) * (len(form.d) - len(nonzero))
+        assert all(x > 0 for x in nonzero)
+        assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+
+
+def _fans():
+    from toricchains.root_fans import FanFamily, build_sigma_A, build_upsilon
+
+    for tag in ("A", "B", "Bcan", "C", "Cminus"):
+        for n in range(2 if tag == "Cminus" else 1, 9):
+            yield f"{tag}{n}", build_upsilon(FanFamily(tag, n))
+    for n in range(3, 7):
+        yield f"SigmaA{n}", build_sigma_A(n)
+
+
+@pytest.mark.parametrize("fan", [f for _, f in _fans()], ids=[name for name, _ in _fans()])
+def test_fan_beta_transpose_against_sympy(fan):
+    """The acting group of every fan is the cokernel of beta^T: its Smith
+    form carries a certificate and matches sympy's invariant factors."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    a = fan.beta.T
+    form = snf(a)
+    assert _is_diag(form.U * a * form.V, form.d)
+    assert form.U.is_unimodular() and form.V.is_unimodular()
+    theirs = [int(x) for x in invariant_factors(sympy.Matrix(a.to_rows()))]
+    assert [x for x in form.d if x] == [x for x in theirs if x]
+    assert cokernel(a) == FinDiagGroupDesc(a.rows - form.rank, tuple(x for x in theirs if x > 1))
 
 
 class TestKernel:
@@ -236,6 +324,34 @@ class TestSolvers:
         a = _mat([[2]])
         assert solve_mod(a, [4], 6) is not None
         assert solve_mod(a, [3], 6) is None
+
+    def test_zero_shapes(self):
+        assert solve_integer(IntMatrix.zeros(0, 3), []) == [0, 0, 0]
+        assert solve_integer(IntMatrix.zeros(3, 0), [0, 0, 0]) == []
+        assert solve_integer(IntMatrix.zeros(3, 0), [0, 1, 0]) is None
+        assert solve_mod(IntMatrix.zeros(2, 2), [2, 4], 2) == [0, 0]
+        assert solve_mod(IntMatrix.zeros(2, 2), [1, 0], 2) is None
+
+    def test_solve_mod_against_brute_force(self):
+        """Every right-hand side mod m is solvable exactly when some x in
+        (Z/m)^c solves it, and the Smith back-substitution finds one."""
+        rng = random.Random(23)
+        for _ in range(150):
+            r, c = rng.randint(1, 3), rng.randint(1, 3)
+            modulus = rng.randint(1, 6)
+            a = _mat([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+            images = {
+                tuple(v % modulus for v in a.mul_vector(list(x)))
+                for x in itertools.product(range(modulus), repeat=c)
+            }
+            form = snf(a)
+            for b in itertools.product(range(modulus), repeat=r):
+                x = form.solve(list(b), modulus)
+                assert (x is not None) == (b in images)
+                assert x == solve_mod(a, list(b), modulus)
+                if x is not None:
+                    assert all(0 <= v < modulus for v in x)
+                    assert tuple(v % modulus for v in a.mul_vector(x)) == b
 
     def test_solve_random(self):
         rng = random.Random(17)

@@ -8,8 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from toricchains import orbit_points
+from toricchains.exact_linalg import IntMatrix, solve_integer, solve_mod
 from toricchains.fields import GF, QQ
 from toricchains.orbit_points import (
+    _rational_factor_data,
     FanPoint,
     GroupElement,
     act,
@@ -21,6 +24,7 @@ from toricchains.orbit_points import (
     make_point,
     orbit_equal,
     orbit_witness,
+    solve_units,
     stabilizer,
     stabilizer_order,
 )
@@ -444,3 +448,56 @@ class TestEnumerate:
 def test_free_rank_matches_weights():
     assert free_rank(A2) == 2
     assert free_rank(build_sigma_A(3)) == 4
+
+
+def _character_values(units, rows):
+    return [math.prod((u**e for u, e in zip(units, row)), start=Fraction(1)) for row in rows]
+
+
+class TestSolveUnitsOverQ:
+    """Over Q, solve_units takes one Smith form and back-substitutes the
+    valuation system of every prime and the sign system mod 2."""
+
+    @staticmethod
+    def per_prime(rows, targets):
+        a = IntMatrix.from_rows(rows)
+        primes, vals, signs = _rational_factor_data([Fraction(t) for t in targets])
+        exps = [solve_integer(a, vals[q]) for q in primes]
+        s = solve_mod(a, signs, 2)
+        if s is None or None in exps:
+            return None
+        return [
+            (-1) ** s[k] * math.prod((Fraction(q) ** e[k] for q, e in zip(primes, exps)), start=1)
+            for k in range(a.cols)
+        ]
+
+    def test_against_per_prime_solves(self, monkeypatch):
+        rng = random.Random(31)
+        calls = []
+        real = orbit_points.snf
+        monkeypatch.setattr(orbit_points, "snf", lambda a: calls.append(a) or real(a))
+        solvable = unsolvable = 0
+        for _ in range(200):
+            r, c = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.5:
+                units = [
+                    Fraction(rng.choice([-1, 1, 2, -3, 5, 6]), rng.choice([1, 2, 7]))
+                    for _ in range(c)
+                ]
+                targets = _character_values(units, rows)
+            else:
+                targets = [
+                    Fraction(rng.choice([-12, -3, -1, 1, 2, 5, 9]), rng.choice([1, 4, 7]))
+                    for _ in range(r)
+                ]
+            calls.clear()
+            got = solve_units(rows, targets, QQ)
+            assert len(calls) == 1
+            assert got == self.per_prime(rows, targets)
+            if got is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+                assert _character_values(got, rows) == targets
+        assert solvable > 50 and unsolvable > 20

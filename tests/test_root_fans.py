@@ -691,6 +691,29 @@ class TestGroupData:
         assert all(x == 0 for x in prod.entries)
 
 
+    def test_sigma_fan_weights_pinned(self):
+        """The rows of the SigmaA weights are what a GroupElement's units
+        mean to act on SigmaA fans, so they are pinned, not just a basis."""
+        assert weight_matrix(build_sigma_A(3)).to_rows() == [
+            [1, 1, 1, 0, 0, 0],
+            [-1, -1, 0, 1, 0, 0],
+            [0, 1, 0, 0, 1, 0],
+            [1, 0, 0, 0, 0, 1],
+        ]
+
+    def test_group_errors(self):
+        flat = StackyFan(2, ((1, 0), (2, 0)), ("x", "y"), ((0,), (1,)))
+        for fn in (dg_group, weight_matrix):
+            with pytest.raises(ValueError, match="^rays do not span the ambient space$"):
+                fn(flat)
+        torsion = StackyFan(1, ((2,), (-2,)), ("x", "y"), ((0,), (1,)))
+        assert dg_group(torsion).to_dict() == {"free_rank": 1, "torsion": [2]}
+        with pytest.raises(
+            WeightTorsionError, match=r"^acting group has torsion \(2,\); no split weight matrix$"
+        ):
+            weight_matrix(torsion)
+
+
 class TestMorphismsAndCanonicalStack:
     def test_identity_map(self):
         fan = build_upsilon(FanFamily("A", 2))
