@@ -559,7 +559,13 @@ def _normalize_twists(p: FanPoint) -> FanPoint:
 
 def involutive_polynomial(p: FanPoint) -> List[Element]:
     """The palindromic degree-2n coefficient list of an irreducible type-C
-    point, after normalizing all twists to 1."""
+    point, after normalizing all twists to 1.
+
+    The units that keep every twist at 1 flip the signs of the ``a``
+    coordinates, turning f(t) into f(-t), so the answer is the
+    lexicographically smaller of the two under ``field.sort_key``: the same
+    for every point of one torus orbit.
+    """
     fan = p.fan
     if fan.family is None or fan.family.tag != "C":
         raise ValueError("expected a point on the type-C fan")
@@ -567,7 +573,9 @@ def involutive_polynomial(p: FanPoint) -> List[Element]:
     n = fan.rank
     f = p.field
     a = list(q.coords[:n])  # (a_{n-1}, ..., a_0)
-    return [f.one] + a + list(reversed(a))[1:] + [f.one]
+    coeffs = [f.one] + a + list(reversed(a))[1:] + [f.one]
+    flipped = [f.neg(c) if i % 2 else c for i, c in enumerate(coeffs)]
+    return min(coeffs, flipped, key=lambda c: [f.sort_key(x) for x in c])
 
 
 def involutive_fiber_profile(p: FanPoint) -> int:

@@ -3,6 +3,14 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal invariant violation.  Every subcommand accepts ``--json``; the
 default output is a short human-readable rendering of the same data.
+
+Every command is one row of ``COMMANDS`` (group -> command -> handler and
+option names); ``build_parser`` adds each option from ``_OPTIONS`` and
+``--json`` to every command.  A handler returns ``(payload, human, ok)``:
+``main`` prints ``json.dumps(payload, sort_keys=True)`` under ``--json`` or
+when ``human`` is None, ``human`` otherwise, and exits 0 when ``ok`` holds
+and 1 otherwise.  Handlers call library functions by their module-global
+names, so a wrapper bound over those names after import sees every call.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .orbit_points import (
     stabilizer,
 )
 from .root_fans import (
+    FAMILY_TAGS,
     FanFamily,
     StackyFan,
     build_sigma_A,
@@ -45,18 +54,12 @@ VERIFY_FAILURE = 1
 INTERNAL_ERROR = 3
 
 
-def _dump(payload, as_json: bool, human: Optional[str] = None) -> None:
-    if as_json or human is None:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
-
-
 def _load_fan(args) -> StackyFan:
-    if getattr(args, "fan", None):
-        with open(args.fan, "r", encoding="utf-8") as fh:
+    path = getattr(args, "fanfile", None) or args.fan
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             return fan_from_json(fh.read())
-    if getattr(args, "family", None) is None or getattr(args, "n", None) is None:
+    if args.family is None or args.n is None:
         raise ValueError("provide either --fan FILE or --family and --n")
     fam = FanFamily(args.family, args.n)
     if fam.tag == "SigmaA":
@@ -74,74 +77,41 @@ def _point(args) -> FanPoint:
     return make_point(fan, field, _parse_coords(args.coords, field))
 
 
-# ---------------------------------------------------------------------------
-# fan subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_fan_build(args) -> int:
+def _cmd_fan_build(args):
     fan = _load_fan(args)
-    text = fan.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        _dump(
-            {"written": args.out, "rays": fan.num_rays, "max_cones": len(fan.max_cones)},
-            args.json,
-            f"wrote {args.out}: {fan.num_rays} rays, {len(fan.max_cones)} maximal cones",
-        )
-    else:
-        print(text)
-    return 0
+    out = getattr(args, "out", None)
+    if not out:
+        return fan.to_dict(), None, True
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(fan.to_json() + "\n")
+    payload = {"written": out, "rays": fan.num_rays, "max_cones": len(fan.max_cones)}
+    return payload, f"wrote {out}: {fan.num_rays} rays, {len(fan.max_cones)} maximal cones", True
 
 
-def _cmd_fan_export(args) -> int:
-    print(_load_fan(args).to_json())
-    return 0
-
-
-def _cmd_fan_check(args) -> int:
-    if getattr(args, "fanfile", None):
-        args.fan = args.fanfile
+def _cmd_fan_check(args):
     fan = _load_fan(args)
     report = check_fan(fan)
     payload = report.to_dict()
     payload["rays"] = fan.num_rays
     payload["max_cones"] = len(fan.max_cones)
-    _dump(
-        payload,
-        args.json,
-        "  ".join(f"{k}={v}" for k, v in sorted(payload.items())),
+    return payload, "  ".join(f"{k}={v}" for k, v in sorted(payload.items())), report.all_ok
+
+
+def _cmd_point_stab(args):
+    desc = stabilizer(_point(args))
+    human = f"stabilizer: free_rank={desc.free_rank} torsion={list(desc.torsion)}" + (
+        f" order={desc.order}" if desc.is_finite else " (infinite)"
     )
-    return 0 if report.all_ok else VERIFY_FAILURE
+    return desc.to_dict(), human, True
 
 
-# ---------------------------------------------------------------------------
-# point subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_point_stab(args) -> int:
+def _cmd_point_canon(args):
     p = _point(args)
-    desc = stabilizer(p)
-    _dump(
-        desc.to_dict(),
-        args.json,
-        f"stabilizer: free_rank={desc.free_rank} torsion={list(desc.torsion)}"
-        + (f" order={desc.order}" if desc.is_finite else " (infinite)"),
-    )
-    return 0
+    coords = [p.field.format(c) for c in canonical_form(p).coords]
+    return {"coords": coords}, "canonical: " + ",".join(coords), True
 
 
-def _cmd_point_canon(args) -> int:
-    p = _point(args)
-    q = canonical_form(p)
-    coords = [p.field.format(c) for c in q.coords]
-    _dump({"coords": coords}, args.json, "canonical: " + ",".join(coords))
-    return 0
-
-
-def _cmd_point_orbit_eq(args) -> int:
+def _cmd_point_orbit_eq(args):
     field = parse_field(args.field)
     if args.extended:
         c1 = _parse_coords(args.coords, field)
@@ -149,143 +119,97 @@ def _cmd_point_orbit_eq(args) -> int:
         if len(c1) % 2 != 0 or len(c1) != len(c2):
             raise ValueError("extended coordinates come as 2n values (n+1 coefficients, n-1 twists)")
         n = len(c1) // 2
-        e1 = chains_mod.ExtendedPoint(n, field, tuple(c1[: n + 1]), tuple(c1[n + 1 :]))
-        e2 = chains_mod.ExtendedPoint(n, field, tuple(c2[: n + 1]), tuple(c2[n + 1 :]))
+        e1, e2 = (chains_mod.ExtendedPoint(n, field, tuple(c[: n + 1]), tuple(c[n + 1 :]))
+                  for c in (c1, c2))
         eq = chains_mod.orbit_equal_extended(e1, e2)
     else:
         fan = _load_fan(args)
         p = make_point(fan, field, _parse_coords(args.coords, field))
         q = make_point(fan, field, _parse_coords(args.coords2, field))
         eq = orbit_equal(p, q)
-    _dump({"orbit_equal": eq}, args.json, f"orbit_equal: {eq}")
-    return 0
+    return {"orbit_equal": eq}, f"orbit_equal: {eq}", True
 
 
-def _cmd_point_count(args) -> int:
-    fan = _load_fan(args)
-    count = count_coarse_points(fan, args.q)
-    _dump({"count": count, "q": args.q}, args.json, str(count))
-    return 0
+def _cmd_point_count(args):
+    count = count_coarse_points(_load_fan(args), args.q)
+    return {"count": count, "q": args.q}, str(count), True
 
 
-def _cmd_point_enumerate(args) -> int:
-    fan = _load_fan(args)
-    orbits = enumerate_orbits(fan, args.p)
-    payload = {
-        "orbits": [
-            {"coords": [pt.field.format(c) for c in pt.coords], "stabilizer_order": order}
-            for pt, order in orbits
-        ]
-    }
-    human = "\n".join(
-        ",".join(o["coords"]) + f"  |stab|={o['stabilizer_order']}" for o in payload["orbits"]
-    )
-    _dump(payload, args.json, human)
-    return 0
+def _cmd_point_enumerate(args):
+    orbits = [
+        {"coords": [pt.field.format(c) for c in pt.coords], "stabilizer_order": order}
+        for pt, order in enumerate_orbits(_load_fan(args), args.p)
+    ]
+    human = "\n".join(",".join(o["coords"]) + f"  |stab|={o['stabilizer_order']}" for o in orbits)
+    return {"orbits": orbits}, human, True
 
 
-# ---------------------------------------------------------------------------
-# chain subcommands
-# ---------------------------------------------------------------------------
+def _cmd_chain_from_point(args):
+    chain = chains_mod.chain_from_point(_point(args))
+    human = f"{chain.num_components} component(s), degrees {list(chain.component_degrees)}"
+    return chain.to_dict(), human, True
 
 
-def _cmd_chain_from_point(args) -> int:
-    p = _point(args)
-    chain = chains_mod.chain_from_point(p)
-    _dump(
-        chain.to_dict(),
-        args.json,
-        f"{chain.num_components} component(s), degrees {list(chain.component_degrees)}",
-    )
-    return 0
-
-
-def _cmd_chain_from_poly(args) -> int:
+def _cmd_chain_from_poly(args):
     field = parse_field(args.field)
-    coeffs = _parse_coords(args.poly, field)
-    e = chains_mod.point_from_polynomial(coeffs, field)
+    e = chains_mod.point_from_polynomial(_parse_coords(args.poly, field), field)
     payload = {
         "n": e.n,
         "coefficients": [field.format(c) for c in e.c],
         "twists": [field.format(b) for b in e.b],
         "normalized": e.is_normalized(),
     }
-    _dump(payload, args.json, json.dumps(payload, sort_keys=True))
-    return 0
+    return payload, None, True
 
 
-def _cmd_chain_fiber(args) -> int:
+def _cmd_chain_fiber(args):
     field = parse_field(f"F{args.q}")
-    coeffs = _parse_coords(args.poly, field)
-    e = chains_mod.point_from_polynomial(coeffs, field)
-    chain = chains_mod.ChainModel(field, e.n, (e.n,), (e.c,))
-    profile = chains_mod.fiber_profile_of_chain(chain)
-    _dump(
-        profile.to_dict(),
-        args.json,
+    e = chains_mod.point_from_polynomial(_parse_coords(args.poly, field), field)
+    profile = chains_mod.fiber_profile_of_chain(chains_mod.ChainModel(field, e.n, (e.n,), (e.c,)))
+    human = (
         f"ordered_preimages={profile.rational_ordered_preimages} "
-        f"ramified={profile.is_ramified} profile={[list(m) for m in profile.multiplicity_profile]}",
+        f"ramified={profile.is_ramified} profile={[list(m) for m in profile.multiplicity_profile]}"
     )
-    return 0
+    return profile.to_dict(), human, True
 
 
-def _cmd_chain_parity(args) -> int:
+def _cmd_chain_parity(args):
     field = parse_field(args.field)
-    coeffs = _parse_coords(args.coeffs, field)
-    tag = chains_mod.parity_component(coeffs, field)
-    _dump({"parity": tag}, args.json, tag)
-    return 0
+    tag = chains_mod.parity_component(_parse_coords(args.coeffs, field), field)
+    return {"parity": tag}, tag, True
 
 
-def _cmd_chain_embed(args) -> int:
+def _cmd_chain_embed(args):
     p = _point(args)
-    fam = p.fan.family
-    if fam is None:
+    if p.fan.family is None:
         raise ValueError("embedding requires a named fan family")
-    if fam.tag == "C":
-        image = chains_mod.c_point_embed(p)
-    elif fam.tag == "Bcan":
-        image = chains_mod.b_point_embed(p)
-    elif fam.tag == "Cminus":
-        image = chains_mod.minus_embed(p)
-    else:
+    embed = {
+        "C": chains_mod.c_point_embed,
+        "Bcan": chains_mod.b_point_embed,
+        "Cminus": chains_mod.minus_embed,
+    }.get(p.fan.family.tag)
+    if embed is None:
         raise ValueError("embedding is defined for families C, Bcan, Cminus")
-    payload = {
-        "family": image.fan.family.tag,
-        "n": image.fan.family.n,
-        "coords": [image.field.format(c) for c in image.coords],
-    }
-    _dump(payload, args.json, ",".join(payload["coords"]))
-    return 0
+    image = embed(p)
+    coords = [image.field.format(c) for c in image.coords]
+    payload = {"family": image.fan.family.tag, "n": image.fan.family.n, "coords": coords}
+    return payload, ",".join(coords), True
 
 
-# ---------------------------------------------------------------------------
-# polytope subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_polytope_permutohedron(args) -> int:
+def _cmd_polytope_permutohedron(args):
     P = lm.permutohedron(args.n)
-    _dump(P.to_dict(), args.json, f"{P.num_vertices} vertices in dim {P.ambient_dim}")
-    return 0
+    return P.to_dict(), f"{P.num_vertices} vertices in dim {P.ambient_dim}", True
 
 
-def _cmd_polytope_delta(args) -> int:
+def _cmd_polytope_delta(args):
     P = lm.delta_j(args.n, args.j)
-    _dump(P.to_dict(), args.json, f"{P.num_vertices} vertices in dim {P.ambient_dim}")
-    return 0
+    return P.to_dict(), f"{P.num_vertices} vertices in dim {P.ambient_dim}", True
 
 
-def _cmd_polytope_minkowski(args) -> int:
+def _cmd_polytope_minkowski(args):
     perm, ok = lm.permutohedron_decompositions(args.n)
     payload = {"n": args.n, "decompositions_match": ok, "vertices": perm.num_vertices}
-    _dump(payload, args.json, f"decompositions_match={ok} ({perm.num_vertices} vertices)")
-    return 0 if ok else VERIFY_FAILURE
-
-
-# ---------------------------------------------------------------------------
-# verify subcommands
-# ---------------------------------------------------------------------------
+    return payload, f"decompositions_match={ok} ({perm.num_vertices} vertices)", ok
 
 
 def _fan_map_ok(tag: str, n: int) -> bool:
@@ -294,9 +218,8 @@ def _fan_map_ok(tag: str, n: int) -> bool:
 
 
 def _canonical_stack_ok(n: int) -> bool:
-    return canonical_stack(build_upsilon(FanFamily("B", n))).rays == build_upsilon(
-        FanFamily("Bcan", n)
-    ).rays
+    stack = canonical_stack(build_upsilon(FanFamily("B", n)))
+    return stack.rays == build_upsilon(FanFamily("Bcan", n)).rays
 
 
 def _fans_ok(k: int) -> bool:
@@ -325,167 +248,128 @@ _VERIFY_CHECKS = {
 _VERIFY_NAMES = tuple(_VERIFY_CHECKS)
 
 
-def _verify_cases(name: str, n: int) -> List[dict]:
-    lo, hi, check = _VERIFY_CHECKS[name]
-    cases = []
-    for k in range(lo, (n if hi is None else min(n, hi)) + 1):
-        if name == "fan-map":
-            cases += [{"check": f"fan-map-{t}", "n": k, "ok": _fan_map_ok(t, k)} for t in "CB"]
-        else:
-            cases.append({"check": name, "n": k, "ok": check(k)})
-    return cases
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    """Every check at each n from its least up to ``--n`` (or its cap).
+    ``--family`` narrows ``fan-map`` to one tag at ``--n`` alone, past the cap."""
     if args.family is not None and args.what != "fan-map":
         raise ValueError("--family applies to verify fan-map only")
-    if args.family is not None:
-        cases = [
-            {
-                "check": f"fan-map-{args.family}",
-                "n": args.n,
-                "ok": _fan_map_ok(args.family, args.n),
-            }
-        ]
-    else:
-        names = _VERIFY_NAMES if args.what == "all" else (args.what,)
-        cases = [case for name in names for case in _verify_cases(name, args.n)]
-        if not cases:
-            least = min(_VERIFY_CHECKS[name][0] for name in names)
-            raise ValueError(
-                f"verify {args.what} checks no case at n = {args.n}; "
-                f"the least n it covers is {least}"
-            )
+    names = _VERIFY_NAMES if args.what == "all" else (args.what,)
+    cases = []
+    for name in names:
+        lo, hi, check = _VERIFY_CHECKS[name]
+        first, last = lo, (args.n if hi is None else min(args.n, hi))
+        if args.family:  # one tag at --n alone, past the cap
+            first, last = max(lo, args.n), args.n
+        for k in range(first, last + 1):
+            if name == "fan-map":
+                cases += [
+                    {"check": f"fan-map-{t}", "n": k, "ok": _fan_map_ok(t, k)}
+                    for t in args.family or "CB"
+                ]
+            else:
+                cases.append({"check": name, "n": k, "ok": check(k)})
+    if not cases:
+        least = min(_VERIFY_CHECKS[name][0] for name in names)
+        raise ValueError(
+            f"verify {args.what} checks no case at n = {args.n}; "
+            f"the least n it covers is {least}"
+        )
     ok = all(c["ok"] for c in cases)
-    payload = {"cases": cases, "ok": ok}
-    human = "\n".join(
-        f"{c['check']} n={c['n']}: {'ok' if c['ok'] else 'FAIL'}" for c in cases
-    )
-    _dump(payload, args.json, human + f"\noverall: {'ok' if ok else 'FAIL'}")
-    return 0 if ok else VERIFY_FAILURE
+    human = "\n".join(f"{c['check']} n={c['n']}: {'ok' if c['ok'] else 'FAIL'}" for c in cases)
+    return {"cases": cases, "ok": ok}, human + f"\noverall: {'ok' if ok else 'FAIL'}", ok
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
 
+# option name: (argparse name, argparse keywords)
+_OPTIONS = {
+    "fanfile": ("fanfile", {"nargs": "?", "help": "fan JSON file"}),
+    "fan": ("--fan", {"help": "fan JSON file"}),
+    "family": ("--family", {"choices": FAMILY_TAGS}),
+    "rank": ("--n", {"type": int}),
+    "out": ("--out", {}),
+    "coords": ("--coords", {"required": True}),
+    "coords2": ("--coords2", {"required": True}),
+    "field": ("--field", {"required": True}),
+    "field-Q": ("--field", {"default": "Q"}),
+    "extended": ("--extended", {"action": "store_true"}),
+    "q": ("--q", {"type": int, "required": True}),
+    "p": ("--p", {"type": int, "required": True}),
+    "poly": ("--poly", {"required": True}),
+    "coeffs": ("--coeffs", {"required": True}),
+    "n": ("--n", {"type": int, "required": True}),
+    "j": ("--j", {"type": int, "required": True}),
+    "what": ("what", {"choices": ("all",) + _VERIFY_NAMES}),
+    "fan-map-family": ("--family", {"choices": ["B", "C"], "help": "for fan-map"}),
+}
 
-def _add_fan_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fan", help="fan JSON file")
-    p.add_argument("--family", choices=["A", "B", "Bcan", "C", "Cminus", "SigmaA"])
-    p.add_argument("--n", type=int)
+# The fan source every command that takes a fan accepts.
+_FAN = "fan family rank"
+
+# group -> command -> (handler, option names); the command None gives the
+# group's own parser.
+COMMANDS = {
+    "fan": {
+        "build": (_cmd_fan_build, f"{_FAN} out"),
+        "check": (_cmd_fan_check, f"fanfile {_FAN}"),
+        "export": (_cmd_fan_build, _FAN),
+    },
+    "point": {
+        "stab": (_cmd_point_stab, f"{_FAN} coords field"),
+        "canon": (_cmd_point_canon, f"{_FAN} coords field"),
+        "orbit-eq": (_cmd_point_orbit_eq, f"{_FAN} coords coords2 field extended"),
+        "count": (_cmd_point_count, f"{_FAN} q"),
+        "enumerate": (_cmd_point_enumerate, f"{_FAN} p"),
+    },
+    "chain": {
+        "from-point": (_cmd_chain_from_point, f"{_FAN} coords field"),
+        "from-poly": (_cmd_chain_from_poly, "poly field"),
+        "fiber": (_cmd_chain_fiber, "poly q"),
+        "parity": (_cmd_chain_parity, "coeffs field-Q"),
+        "embed": (_cmd_chain_embed, f"{_FAN} coords field"),
+    },
+    "polytope": {
+        "permutohedron": (_cmd_polytope_permutohedron, "n"),
+        "delta": (_cmd_polytope_delta, "n j"),
+        "minkowski": (_cmd_polytope_minkowski, "n"),
+    },
+    "verify": {None: (_cmd_verify, "what n fan-map-family")},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="toricchains", description=__doc__)
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    fan = sub.add_parser("fan").add_subparsers(dest="cmd", required=True)
-    p = fan.add_parser("build")
-    _add_fan_source(p)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fan_build)
-    p = fan.add_parser("check")
-    p.add_argument("fanfile", nargs="?", help="fan JSON file")
-    p.add_argument("--family", choices=["A", "B", "Bcan", "C", "Cminus", "SigmaA"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fan_check)
-    p = fan.add_parser("export")
-    _add_fan_source(p)
-    p.set_defaults(func=_cmd_fan_export)
-
-    point = sub.add_parser("point").add_subparsers(dest="cmd", required=True)
-    for name, func, extra in (
-        ("stab", _cmd_point_stab, ("coords", "field")),
-        ("canon", _cmd_point_canon, ("coords", "field")),
-        ("orbit-eq", _cmd_point_orbit_eq, ("coords", "coords2", "field", "extended")),
-        ("count", _cmd_point_count, ("q",)),
-        ("enumerate", _cmd_point_enumerate, ("p",)),
-    ):
-        p = point.add_parser(name)
-        _add_fan_source(p)
-        if "coords" in extra:
-            p.add_argument("--coords", required=True)
-        if "coords2" in extra:
-            p.add_argument("--coords2", required=True)
-        if "field" in extra:
-            p.add_argument("--field", required=True)
-        if "extended" in extra:
-            p.add_argument("--extended", action="store_true")
-        if "q" in extra:
-            p.add_argument("--q", type=int, required=True)
-        if "p" in extra:
-            p.add_argument("--p", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=func)
-
-    chain = sub.add_parser("chain").add_subparsers(dest="cmd", required=True)
-    p = chain.add_parser("from-point")
-    _add_fan_source(p)
-    p.add_argument("--coords", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chain_from_point)
-    p = chain.add_parser("from-poly")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chain_from_poly)
-    p = chain.add_parser("fiber")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chain_fiber)
-    p = chain.add_parser("parity")
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--field", default="Q")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chain_parity)
-    p = chain.add_parser("embed")
-    _add_fan_source(p)
-    p.add_argument("--coords", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chain_embed)
-
-    polytope = sub.add_parser("polytope").add_subparsers(dest="cmd", required=True)
-    p = polytope.add_parser("permutohedron")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_polytope_permutohedron)
-    p = polytope.add_parser("delta")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_polytope_delta)
-    p = polytope.add_parser("minkowski")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_polytope_minkowski)
-
-    verify = sub.add_parser("verify")
-    verify.add_argument("what", choices=("all",) + _VERIFY_NAMES)
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--family", choices=["B", "C"], help="for fan-map")
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=_cmd_verify)
-
+    # the help text is the user-facing part of the module docstring
+    doc = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    parser = argparse.ArgumentParser(prog="toricchains", description=doc)
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, commands in COMMANDS.items():
+        group_parser = groups.add_parser(group)
+        if None not in commands:
+            sub = group_parser.add_subparsers(dest="cmd", required=True)
+        for cmd, (handler, names) in commands.items():
+            p = group_parser if cmd is None else sub.add_parser(cmd)
+            for name in names.split():
+                flag, spec = _OPTIONS[name]
+                p.add_argument(flag, **spec)
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, human, ok = args.func(args)
     except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (AssertionError, RuntimeError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    print(json.dumps(payload, sort_keys=True) if args.json or human is None else human)
+    return 0 if ok else VERIFY_FAILURE
 
 
 @dataclass(frozen=True)

@@ -12,24 +12,38 @@ Python integers, so reduction never overflows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import List, Union
 
 Element = Union[int, Fraction]
 
 _PRIME_BOUND = 2**31
+_TRIAL_DIVISOR_BOUND = 10**6
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def _prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of n >= 1, by trial division up to the
+    trial-division guard (it cannot trip for n < 2^31: sqrt(n) < 46341)."""
+    out = []
+    m = n
+    d = 2
+    while d * d <= m:
+        if d > _TRIAL_DIVISOR_BOUND:
+            raise ValueError(
+                f"trial-division guard: n = {n} has a cofactor with no prime "
+                f"factor up to the bound {_TRIAL_DIVISOR_BOUND}"
+            )
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _is_prime_power(q: int) -> bool:
+    return q >= 2 and len(_prime_factors(q)) == 1
 
 
 class Field:
@@ -141,7 +155,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if p >= _PRIME_BOUND:
             raise ValueError(f"prime field guard: p = {p} exceeds the bound 2^31")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -38,12 +38,11 @@ from .exact_linalg import (
     snf,
     solve_mod,
 )
-from .fields import Element, Field, PrimeField, RationalField
+from .fields import Element, Field, PrimeField, RationalField, _is_prime_power, _prime_factors
 from .root_fans import StackyFan, check_fan, fan_faces, weight_matrix
 
 _DLOG_TABLE_BOUND = 200_003
 _ORBIT_COUNT_BOUND = 10**5
-_TRIAL_DIVISOR_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -163,28 +162,6 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise AssertionError("no primitive root found")
-
-
-def _prime_factors(n: int) -> List[int]:
-    """The distinct prime factors of n >= 1, by trial division up to the
-    trial-division guard."""
-    out = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if d > _TRIAL_DIVISOR_BOUND:
-            raise ValueError(
-                f"trial-division guard: n = {n} has a cofactor with no prime "
-                f"factor up to the bound {_TRIAL_DIVISOR_BOUND}"
-            )
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 _DLOG_CACHE: Dict[int, _DlogContext] = {}
@@ -422,10 +399,6 @@ def _point_on(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_power(q: int) -> bool:
-    return q >= 2 and len(_prime_factors(q)) == 1
-
-
 @lru_cache(maxsize=None)
 def _complete_fan_faces(fan: StackyFan) -> Tuple[Tuple[int, ...], ...]:
     if not check_fan(fan).all_ok:
@@ -450,14 +423,21 @@ def enumerate_orbits(fan: StackyFan, p: int) -> List[Tuple[FanPoint, int]]:
     representatives prod range(d_i), one per orbit, and each goes through
     the greedy pass of :func:`canonical_form`; one cokernel gives the
     stabilizer order shared by the stratum.  The orbit-count guard compares
-    the total sum over faces of prod d_i with its bound before any orbit is
-    built.
+    the number of faces (each stratum holds at least one orbit) with its
+    bound before the first HNF, and the total sum over faces of prod d_i
+    before any orbit is built.
     """
     field = PrimeField(p)
     ctx = _dlog_context(field)
     w = _weights(fan)
+    faces = fan_faces(fan)
+    if len(faces) > _ORBIT_COUNT_BOUND:
+        raise ValueError(
+            f"orbit-count guard: at least {len(faces)} torus orbits of F_{p} points "
+            f"(one per face) exceed the bound {_ORBIT_COUNT_BOUND}"
+        )
     strata = []
-    for face in fan_faces(fan):
+    for face in faces:
         support = tuple(r for r in range(fan.num_rays) if r not in face)
         strata.append((support, _stratum_basis(w, support, p - 1)))
     count = sum(math.prod(row[i] for i, row in enumerate(b)) for _, b in strata)

@@ -92,28 +92,28 @@ class StackyFan:
             [[v[i] for v in self.rays] for i in range(self.rank)]
         )
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "rank": self.rank,
             "ray_labels": list(self.ray_labels),
             "rays": [list(v) for v in self.rays],
             "max_cones": [list(c) for c in self.max_cones],
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def fan_from_json(text: str) -> StackyFan:
     data = json.loads(text)
-    fan = StackyFan(
-        rank=int(data["rank"]),
-        rays=tuple(tuple(int(x) for x in v) for v in data["rays"]),
-        ray_labels=tuple(str(s) for s in data["ray_labels"]),
-        max_cones=tuple(tuple(int(i) for i in c) for c in data["max_cones"]),
-    )
-    fam = infer_family(fan)
-    if fam is not None:
-        fan = StackyFan(fan.rank, fan.rays, fan.ray_labels, fan.max_cones, fam)
-    return fan
+    rank = int(data["rank"])
+    rays = tuple(tuple(int(x) for x in v) for v in data["rays"])
+    max_cones = tuple(tuple(int(i) for i in c) for c in data["max_cones"])
+    labels = tuple(str(s) for s in data["ray_labels"])
+    named = _named_fan(rank, rays, max_cones)
+    if named is not None and named.ray_labels == labels:
+        return named
+    return StackyFan(rank, rays, labels, max_cones, named.family if named else None)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,24 @@ def _check_cone_count(name: str, formula: str, count: int) -> None:
         )
 
 
+def _family_rays(family: FanFamily) -> Tuple[Tuple[int, ...], ...]:
+    """The ray generators of a named construction, with no cone listed."""
+    n = family.n
+    if family.tag == "SigmaA":
+        return tuple(
+            tuple(-(i not in s) if n in s else int(i in s) for i in range(1, n))
+            for s in sigma_subsets(n)
+        )
+    beta = upsilon_beta(family)
+    return tuple(beta.col(j) for j in range(beta.cols))
+
+
 def build_upsilon(family: FanFamily) -> StackyFan:
     """The stacky fan with rays the columns of (-C | I) and the 2^k maximal
     cones picking, for every index i, either the rho_i ray or the tau_i ray."""
-    beta = upsilon_beta(family)
-    k = beta.rows  # number of rho/tau pairs
+    rays = _family_rays(family)
+    k = len(rays) // 2  # number of rho/tau pairs
     _check_cone_count(f"{family.tag}_{family.n}", f"2^{k}", 2**k)
-    rays = tuple(beta.col(j) for j in range(beta.cols))
     cones = []
     for mask in range(2**k):
         cone = tuple(
@@ -248,20 +259,9 @@ def build_sigma_A(n: int) -> StackyFan:
     if n < 2:
         raise ValueError("n >= 2 required")
     _check_cone_count(f"SigmaA_{n}", f"{n}!", math.factorial(n))
+    family = FanFamily("SigmaA", n)
     subsets = sigma_subsets(n)
     index = {frozenset(s): i for i, s in enumerate(subsets)}
-    rays = []
-    for s in subsets:
-        if n in s:
-            comp = [i for i in range(1, n) if i not in s]
-            vec = [0] * (n - 1)
-            for i in comp:
-                vec[i - 1] = -1
-        else:
-            vec = [0] * (n - 1)
-            for i in s:
-                vec[i - 1] = 1
-        rays.append(tuple(vec))
     cones = []
     seen = set()
     for sigma in itertools.permutations(range(1, n + 1)):
@@ -277,27 +277,35 @@ def build_sigma_A(n: int) -> StackyFan:
         cones.append(cone)
     return StackyFan(
         rank=n - 1,
-        rays=tuple(rays),
+        rays=_family_rays(family),
         ray_labels=tuple(_subset_label(s) for s in subsets),
         max_cones=tuple(cones),
-        family=FanFamily("SigmaA", n),
+        family=family,
     )
 
 
-def infer_family(fan: StackyFan) -> Optional[FanFamily]:
-    """Recover the construction a fan came from, if it matches one exactly."""
-    candidates = [(tag, fan.rank) for tag in ("A", "B", "Bcan", "C")]
-    candidates.append(("Cminus", fan.rank + 1))
-    if fan.num_rays == 2 ** (fan.rank + 1) - 2:
-        candidates.append(("SigmaA", fan.rank + 1))
-    for tag, n in candidates:
-        try:
-            fam = FanFamily(tag, n)
-            candidate = build_sigma_A(n) if tag == "SigmaA" else build_upsilon(fam)
-        except ValueError:
-            continue
-        if candidate.rays == fan.rays and candidate.max_cones == fan.max_cones:
-            return fam
+def _named_fan(rank: int, rays, max_cones) -> Optional[StackyFan]:
+    """The construction with these rays and cones, if there is one.
+
+    The rays pick the candidate: constructions of one rank share their rays
+    only where they share their cones too (A_1, B_1 and C_1), so only the
+    first candidate with the same rays is built and its cones compared.
+    """
+    if not 1 <= rank <= len(rays) or any(len(v) != rank for v in rays):
+        return None  # no construction, and no candidate larger than the input
+    candidates = []
+    if len(rays) == 2 * rank:
+        candidates += [FanFamily(tag, rank) for tag in ("A", "B", "Bcan", "C")]
+        candidates.append(FanFamily("Cminus", rank + 1))
+    if len(rays) == 2 ** (rank + 1) - 2:
+        candidates.append(FanFamily("SigmaA", rank + 1))
+    for fam in candidates:
+        if _family_rays(fam) == rays:
+            try:
+                fan = build_sigma_A(fam.n) if fam.tag == "SigmaA" else build_upsilon(fam)
+            except ValueError:  # past the cone-count guard
+                return None
+            return fan if fan.max_cones == max_cones else None
     return None
 
 

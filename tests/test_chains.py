@@ -1,6 +1,7 @@
 """Chain models, the polynomial direction, fibers of the forgetting map,
 and the involutive variants."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -385,6 +386,29 @@ class TestInvolutiveFibers:
         p = make_point(C2, F11, [1, 1, 0, 1])
         with pytest.raises(ValueError):
             involutive_fiber_profile(p)
+
+    def test_polynomial_is_constant_on_torus_orbits(self):
+        # Every C_2 point over F_7 with all twists nonzero, under every unit
+        # pair: the units fixing the twists send f(t) to f(-t), and the
+        # lexicographically smaller of the two is returned.
+        polys = {}
+        for a1, a0, b1, b0 in itertools.product(range(7), range(7), range(1, 7), range(1, 7)):
+            p = make_point(C2, F7, [a1, a0, b1, b0])
+            try:
+                polys[p.coords] = (p, involutive_polynomial(p))
+            except ValueError:  # twists not normalizable over F_7
+                polys[p.coords] = (p, None)
+        assert polys[(1, 1, 1, 1)][1] == polys[(1, 2, 4, 4)][1] == [1, 1, 1, 1, 1]
+        for p, poly in polys.values():
+            for units in itertools.product(range(1, 7), repeat=2):
+                assert polys[act(GroupElement(units), p).coords][1] == poly
+
+    def test_polynomial_over_q_is_constant_on_torus_orbits(self):
+        p = make_point(C2, QQ, [3, 5, 1, 1])
+        assert involutive_polynomial(p) == [1, -3, 5, -3, 1]
+        for units in [(1, -1), (-1, -1), (2, 1), (1, 2), (2, -3), (Fraction(1, 3), 5)]:
+            units = tuple(Fraction(u) for u in units)
+            assert involutive_polynomial(act(GroupElement(units), p)) == [1, -3, 5, -3, 1]
 
     def test_exhaustive_oracle_rank_one(self):
         # brute-force the tuple count over all irreducible rank-one points

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import jsonschema
 import pytest
 
 from toricchains.chains import poly_from_roots
-from toricchains.cli import main
+from toricchains.cli import build_parser, main
 from toricchains.fields import GF
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +44,14 @@ class TestFanCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["simplicial"] and payload["complete"]
+
+    def test_check_takes_the_shared_fan_source(self, tmp_path, capsys):
+        path = tmp_path / "fan.json"
+        run(capsys, "fan", "build", "--family", "C", "--n", "3", "--out", str(path))
+        for tail in ([], ["--json"]):
+            _, positional = run(capsys, "fan", "check", str(path), *tail)
+            code, option = run(capsys, "fan", "check", "--fan", str(path), *tail)
+            assert code == 0 and option == positional
 
     def test_export(self, capsys):
         code, out = run(capsys, "fan", "export", "--family", "C", "--n", "2")
@@ -130,6 +139,13 @@ class TestPointCommands:
         )
         assert code == 2
 
+    def test_orbit_count_guard_trips_before_the_first_hnf(self):
+        # A_11 has 3^11 = 177147 faces, each a stratum with at least one orbit
+        proc = run_subprocess("point enumerate --family A --n 11 --p 2".split(), 0, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "orbit-count guard" in proc.stderr
+        assert "177147" in proc.stderr and "the bound 100000" in proc.stderr
+
     def test_enumerate_orbit_count_guard(self, capsys):
         # (A_5, F_11) has 253186 orbits, above the guard's bound of 10^5
         code = main("point enumerate --family A --n 5 --p 11".split())
@@ -202,6 +218,27 @@ JSON_IDS = {
     "polytope permutohedron --n 7 --json": "permutohedron-n7",
     "verify all --n 8 --json": "all-n8",
 }
+
+
+def test_every_command_has_a_json_schema_case():
+    """Walk the parser: each (group, command) appears in JSON_COMMANDS."""
+    parser = build_parser()
+    listed = {tuple(c.split()[:2]) for c, _ in JSON_COMMANDS}
+    missing = []
+    for group, group_parser in _subparsers(parser).items():
+        commands = _subparsers(group_parser)
+        if not commands:  # the group takes its arguments itself (verify)
+            if not any(g == group for g, _ in listed):
+                missing.append(group)
+        missing += [f"{group} {cmd}" for cmd in commands if (group, cmd) not in listed]
+    assert missing == []
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
 
 
 @pytest.mark.parametrize(
@@ -362,15 +399,17 @@ class TestPolytopeAndVerify:
     @pytest.mark.parametrize(
         "what, least",
         [("all", 1), ("fans", 1), ("cd-disjoint", 2), ("hyperplane", 2), ("minkowski", 2),
-         ("divisor", 2), ("cocycle", 3), ("fan-map", 2), ("canonical-stack", 2)],
+         ("divisor", 2), ("cocycle", 3), ("fan-map", 2), ("canonical-stack", 2),
+         ("fan-map --family B", 2), ("fan-map --family C", 2)],
     )
     def test_verify_without_cases_exits_2(self, capsys, what, least):
-        code = main(["verify", what, "--n", str(least - 1), "--json"])
+        name, *family = what.split()
+        code = main(["verify", name, "--n", str(least - 1), *family, "--json"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert f"verify {what} checks no case at n = {least - 1}" in captured.err
+        assert f"verify {name} checks no case at n = {least - 1}" in captured.err
         assert f"the least n it covers is {least}" in captured.err
-        code, out = run(capsys, "verify", what, "--n", str(least), "--json")
+        code, out = run(capsys, "verify", name, "--n", str(least), *family, "--json")
         assert code == 0 and json.loads(out)["cases"]
 
     def test_verify_all(self, capsys):

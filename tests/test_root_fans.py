@@ -771,6 +771,19 @@ class TestJson:
         assert back.max_cones == fan.max_cones
         assert back.family == FanFamily("C", 2)
 
+    def test_round_trip_keeps_other_labels(self):
+        data = json.loads(build_upsilon(FanFamily("Cminus", 3)).to_json())
+        data["ray_labels"] = list("abcd")
+        back = fan_from_json(json.dumps(data))
+        assert back.family == FanFamily("Cminus", 3) and back.ray_labels == tuple("abcd")
+
+    def test_rays_of_another_dimension_are_rejected(self):
+        # 2 * rank rays, but of dimension 1: no candidate is built
+        text = json.dumps({"rank": 300, "rays": [[1]] * 600, "ray_labels": ["r"] * 600,
+                           "max_cones": []})
+        with pytest.raises(ValueError, match="ray dimension mismatch"):
+            fan_from_json(text)
+
     def test_sigma_round_trip(self):
         fan = build_sigma_A(3)
         back = fan_from_json(fan.to_json())
