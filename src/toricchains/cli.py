@@ -9,8 +9,10 @@ option names); ``build_parser`` adds each option from ``_OPTIONS`` and
 ``--json`` to every command.  A handler returns ``(payload, human, ok)``:
 ``main`` prints ``json.dumps(payload, sort_keys=True)`` under ``--json`` or
 when ``human`` is None, ``human`` otherwise, and exits 0 when ``ok`` holds
-and 1 otherwise.  Handlers call library functions by their module-global
-names, so a wrapper bound over those names after import sees every call.
+and 1 otherwise.  A handler imports the library modules it uses when it
+runs and calls ``module.function``, so a cold command loads only those
+modules (``fan`` commands load ``exact_linalg`` and ``root_fans`` alone), and
+each call looks its function up on the module at call time.
 """
 
 from __future__ import annotations
@@ -21,50 +23,29 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import chains as chains_mod
-from . import losev_manin as lm
-from .fields import parse_field
-from .orbit_points import (
-    FanPoint,
-    canonical_form,
-    count_coarse_points,
-    enumerate_orbits,
-    make_point,
-    orbit_equal,
-    stabilizer,
-)
-from .root_fans import (
-    FAMILY_TAGS,
-    FanFamily,
-    StackyFan,
-    build_sigma_A,
-    build_upsilon,
-    canonical_stack,
-    check_fan,
-    dg_group,
-    fan_from_json,
-    fan_morphism_check,
-    standard_fan_map,
-)
+from . import root_fans
+
+if TYPE_CHECKING:
+    from .orbit_points import FanPoint
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 INTERNAL_ERROR = 3
 
 
-def _load_fan(args) -> StackyFan:
+def _load_fan(args) -> root_fans.StackyFan:
     path = getattr(args, "fanfile", None) or args.fan
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            return fan_from_json(fh.read())
+            return root_fans.fan_from_json(fh.read())
     if args.family is None or args.n is None:
         raise ValueError("provide either --fan FILE or --family and --n")
-    fam = FanFamily(args.family, args.n)
+    fam = root_fans.FanFamily(args.family, args.n)
     if fam.tag == "SigmaA":
-        return build_sigma_A(fam.n)
-    return build_upsilon(fam)
+        return root_fans.build_sigma_A(fam.n)
+    return root_fans.build_upsilon(fam)
 
 
 def _parse_coords(text: str, field) -> List:
@@ -72,9 +53,11 @@ def _parse_coords(text: str, field) -> List:
 
 
 def _point(args) -> FanPoint:
+    from . import fields, orbit_points
+
     fan = _load_fan(args)
-    field = parse_field(args.field)
-    return make_point(fan, field, _parse_coords(args.coords, field))
+    field = fields.parse_field(args.field)
+    return orbit_points.make_point(fan, field, _parse_coords(args.coords, field))
 
 
 def _cmd_fan_build(args):
@@ -90,7 +73,7 @@ def _cmd_fan_build(args):
 
 def _cmd_fan_check(args):
     fan = _load_fan(args)
-    report = check_fan(fan)
+    report = root_fans.check_fan(fan)
     payload = report.to_dict()
     payload["rays"] = fan.num_rays
     payload["max_cones"] = len(fan.max_cones)
@@ -98,7 +81,9 @@ def _cmd_fan_check(args):
 
 
 def _cmd_point_stab(args):
-    desc = stabilizer(_point(args))
+    from . import orbit_points
+
+    desc = orbit_points.stabilizer(_point(args))
     human = f"stabilizer: free_rank={desc.free_rank} torsion={list(desc.torsion)}" + (
         f" order={desc.order}" if desc.is_finite else " (infinite)"
     )
@@ -106,53 +91,69 @@ def _cmd_point_stab(args):
 
 
 def _cmd_point_canon(args):
+    from . import orbit_points
+
     p = _point(args)
-    coords = [p.field.format(c) for c in canonical_form(p).coords]
+    coords = [p.field.format(c) for c in orbit_points.canonical_form(p).coords]
     return {"coords": coords}, "canonical: " + ",".join(coords), True
 
 
 def _cmd_point_orbit_eq(args):
-    field = parse_field(args.field)
+    from . import fields
+
+    field = fields.parse_field(args.field)
     if args.extended:
+        from . import chains
+
         c1 = _parse_coords(args.coords, field)
         c2 = _parse_coords(args.coords2, field)
         if len(c1) % 2 != 0 or len(c1) != len(c2):
             raise ValueError("extended coordinates come as 2n values (n+1 coefficients, n-1 twists)")
         n = len(c1) // 2
-        e1, e2 = (chains_mod.ExtendedPoint(n, field, tuple(c[: n + 1]), tuple(c[n + 1 :]))
+        e1, e2 = (chains.ExtendedPoint(n, field, tuple(c[: n + 1]), tuple(c[n + 1 :]))
                   for c in (c1, c2))
-        eq = chains_mod.orbit_equal_extended(e1, e2)
+        eq = chains.orbit_equal_extended(e1, e2)
     else:
+        from . import orbit_points
+
         fan = _load_fan(args)
-        p = make_point(fan, field, _parse_coords(args.coords, field))
-        q = make_point(fan, field, _parse_coords(args.coords2, field))
-        eq = orbit_equal(p, q)
+        p = orbit_points.make_point(fan, field, _parse_coords(args.coords, field))
+        q = orbit_points.make_point(fan, field, _parse_coords(args.coords2, field))
+        eq = orbit_points.orbit_equal(p, q)
     return {"orbit_equal": eq}, f"orbit_equal: {eq}", True
 
 
 def _cmd_point_count(args):
-    count = count_coarse_points(_load_fan(args), args.q)
+    from . import orbit_points
+
+    count = orbit_points.count_coarse_points(_load_fan(args), args.q)
     return {"count": count, "q": args.q}, str(count), True
 
 
 def _cmd_point_enumerate(args):
+    from . import orbit_points
+
     orbits = [
         {"coords": [pt.field.format(c) for c in pt.coords], "stabilizer_order": order}
-        for pt, order in enumerate_orbits(_load_fan(args), args.p)
+        for pt, order in orbit_points.enumerate_orbits(_load_fan(args), args.p)
     ]
     human = "\n".join(",".join(o["coords"]) + f"  |stab|={o['stabilizer_order']}" for o in orbits)
     return {"orbits": orbits}, human, True
 
 
 def _cmd_chain_from_point(args):
-    chain = chains_mod.chain_from_point(_point(args))
+    from . import chains
+
+    chain = chains.chain_from_point(_point(args))
     human = f"{chain.num_components} component(s), degrees {list(chain.component_degrees)}"
     return chain.to_dict(), human, True
 
 
 def _cmd_chain_from_poly(args):
-    field = parse_field(args.field)
-    e = chains_mod.point_from_polynomial(_parse_coords(args.poly, field), field)
+    from . import chains, fields
+
+    field = fields.parse_field(args.field)
+    e = chains.point_from_polynomial(_parse_coords(args.poly, field), field)
     payload = {
         "n": e.n,
         "coefficients": [field.format(c) for c in e.c],
@@ -163,9 +164,11 @@ def _cmd_chain_from_poly(args):
 
 
 def _cmd_chain_fiber(args):
-    field = parse_field(f"F{args.q}")
-    e = chains_mod.point_from_polynomial(_parse_coords(args.poly, field), field)
-    profile = chains_mod.fiber_profile_of_chain(chains_mod.ChainModel(field, e.n, (e.n,), (e.c,)))
+    from . import chains, fields
+
+    field = fields.parse_field(f"F{args.q}")
+    e = chains.point_from_polynomial(_parse_coords(args.poly, field), field)
+    profile = chains.fiber_profile_of_chain(chains.ChainModel(field, e.n, (e.n,), (e.c,)))
     human = (
         f"ordered_preimages={profile.rational_ordered_preimages} "
         f"ramified={profile.is_ramified} profile={[list(m) for m in profile.multiplicity_profile]}"
@@ -174,19 +177,23 @@ def _cmd_chain_fiber(args):
 
 
 def _cmd_chain_parity(args):
-    field = parse_field(args.field)
-    tag = chains_mod.parity_component(_parse_coords(args.coeffs, field), field)
+    from . import chains, fields
+
+    field = fields.parse_field(args.field)
+    tag = chains.parity_component(_parse_coords(args.coeffs, field), field)
     return {"parity": tag}, tag, True
 
 
 def _cmd_chain_embed(args):
+    from . import chains
+
     p = _point(args)
     if p.fan.family is None:
         raise ValueError("embedding requires a named fan family")
     embed = {
-        "C": chains_mod.c_point_embed,
-        "Bcan": chains_mod.b_point_embed,
-        "Cminus": chains_mod.minus_embed,
+        "C": chains.c_point_embed,
+        "Bcan": chains.b_point_embed,
+        "Cminus": chains.minus_embed,
     }.get(p.fan.family.tag)
     if embed is None:
         raise ValueError("embedding is defined for families C, Bcan, Cminus")
@@ -197,34 +204,40 @@ def _cmd_chain_embed(args):
 
 
 def _cmd_polytope_permutohedron(args):
-    P = lm.permutohedron(args.n)
+    from . import losev_manin
+
+    P = losev_manin.permutohedron(args.n)
     return P.to_dict(), f"{P.num_vertices} vertices in dim {P.ambient_dim}", True
 
 
 def _cmd_polytope_delta(args):
-    P = lm.delta_j(args.n, args.j)
+    from . import losev_manin
+
+    P = losev_manin.delta_j(args.n, args.j)
     return P.to_dict(), f"{P.num_vertices} vertices in dim {P.ambient_dim}", True
 
 
 def _cmd_polytope_minkowski(args):
-    perm, ok = lm.permutohedron_decompositions(args.n)
+    from . import losev_manin
+
+    perm, ok = losev_manin.permutohedron_decompositions(args.n)
     payload = {"n": args.n, "decompositions_match": ok, "vertices": perm.num_vertices}
     return payload, f"decompositions_match={ok} ({perm.num_vertices} vertices)", ok
 
 
 def _fan_map_ok(tag: str, n: int) -> bool:
-    L, src, dst = standard_fan_map(tag, n)
-    return fan_morphism_check(src, dst, L)
+    L, src, dst = root_fans.standard_fan_map(tag, n)
+    return root_fans.fan_morphism_check(src, dst, L)
 
 
 def _canonical_stack_ok(n: int) -> bool:
-    stack = canonical_stack(build_upsilon(FanFamily("B", n)))
-    return stack.rays == build_upsilon(FanFamily("Bcan", n)).rays
+    stack = root_fans.canonical_stack(root_fans.build_upsilon(root_fans.FanFamily("B", n)))
+    return stack.rays == root_fans.build_upsilon(root_fans.FanFamily("Bcan", n)).rays
 
 
 def _fans_ok(k: int) -> bool:
-    fan = build_upsilon(FanFamily("A", k))
-    report, desc = check_fan(fan), dg_group(fan)
+    fan = root_fans.build_upsilon(root_fans.FanFamily("A", k))
+    report, desc = root_fans.check_fan(fan), root_fans.dg_group(fan)
     return (
         report.all_ok
         and fan.num_rays == 2 * k
@@ -234,14 +247,25 @@ def _fans_ok(k: int) -> bool:
     )
 
 
+def _losev_manin_check(name: str):
+    """The check ``losev_manin.<name>``, imported and looked up when it runs."""
+
+    def check(n: int) -> bool:
+        from . import losev_manin
+
+        return getattr(losev_manin, name)(n)
+
+    return check
+
+
 # name: (least n, largest n or None for no cap, the check at one n)
 _VERIFY_CHECKS = {
     "fans": (1, 8, _fans_ok),
-    "cd-disjoint": (2, None, lm.verify_cd_disjoint),
-    "hyperplane": (2, None, lm.verify_section_hyperplane),
-    "minkowski": (2, 7, lm.verify_minkowski),
-    "divisor": (2, 6, lm.verify_divisor_relation),
-    "cocycle": (3, 5, lm.verify_a_data_cocycle),
+    "cd-disjoint": (2, None, _losev_manin_check("verify_cd_disjoint")),
+    "hyperplane": (2, None, _losev_manin_check("verify_section_hyperplane")),
+    "minkowski": (2, 7, _losev_manin_check("verify_minkowski")),
+    "divisor": (2, 6, _losev_manin_check("verify_divisor_relation")),
+    "cocycle": (3, 5, _losev_manin_check("verify_a_data_cocycle")),
     "fan-map": (2, 3, None),
     "canonical-stack": (2, 4, _canonical_stack_ok),
 }
@@ -287,7 +311,7 @@ def _cmd_verify(args):
 _OPTIONS = {
     "fanfile": ("fanfile", {"nargs": "?", "help": "fan JSON file"}),
     "fan": ("--fan", {"help": "fan JSON file"}),
-    "family": ("--family", {"choices": FAMILY_TAGS}),
+    "family": ("--family", {"choices": root_fans.FAMILY_TAGS}),
     "rank": ("--n", {"type": int}),
     "out": ("--out", {}),
     "coords": ("--coords", {"required": True}),

@@ -36,13 +36,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .chains import ExtendedPoint
 from .fields import Element, Field, QQ
-from .orbit_points import is_nondegenerate
 from .root_fans import StackyFan, build_sigma_A, sigma_subsets
 from .symbolic import Exponent, MultiPoly
+
+if TYPE_CHECKING:
+    from .chains import ExtendedPoint
 
 _DIM_GUARD = 6
 _CHART_GUARD = 2**14
@@ -582,6 +583,8 @@ class SigmaPoint:
         return FanPoint(fan, self.field, self.w)
 
     def is_nondegenerate(self) -> bool:
+        from .orbit_points import is_nondegenerate
+
         fan = build_sigma_A(self.n)
         return is_nondegenerate(fan, self.w, self.field)
 
@@ -624,6 +627,8 @@ def sigma_forget(sp: SigmaPoint) -> ExtendedPoint:
     (the two orientations differ by the chain flip, which is not a torus
     element).  Nondegeneracy of the output is guaranteed by the flag
     condition on the input."""
+    from .chains import ExtendedPoint
+
     if not sp.is_nondegenerate():
         raise ValueError("degenerate collection")
     f = sp.field

@@ -77,9 +77,10 @@ class StackyFan:
             if all(x == 0 for x in v):
                 raise ValueError("zero vector cannot generate a ray")
         for cone in self.max_cones:
-            if list(cone) != sorted(set(cone)):
+            if not all(map(operator.lt, cone, cone[1:])):
                 raise ValueError("cone ray indices must be sorted and distinct")
-            if any(not 0 <= i < len(self.rays) for i in cone):
+            # strictly increasing, so its ends bound every index
+            if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                 raise ValueError("cone ray index out of range")
 
     @property

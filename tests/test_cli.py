@@ -444,22 +444,78 @@ class TestDeterminism:
         assert out1 == out2
 
 
-def test_cli_imports_only_the_standard_library():
-    """Importing the CLI in a fresh interpreter adds only standard-library
-    modules and toricchains itself: the runtime has no third-party dependency."""
+def run_python(script, *argv):
+    """``python -c script argv...`` in a fresh interpreter; its stdout lines."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=ROOT, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+LIBRARY_MODULES = {
+    f"toricchains.{p.stem}" for p in (ROOT / "src" / "toricchains").glob("*.py")
+} - {"toricchains.__init__"}
+
+
+def test_cli_imports_only_the_standard_library():
+    """The CLI and every public name, imported in a fresh interpreter, add
+    only standard-library modules and toricchains itself: the runtime has no
+    third-party dependency.  The star import loads every library module."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import toricchains.cli\n"
-        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+        "from toricchains import *\n"
+        "added = set(sys.modules) - before\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in added})))\n"
+        "print(' '.join(sorted(m for m in added if m.startswith('toricchains.'))))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), cwd=ROOT, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    added = proc.stdout.split()
+    top, library = run_python(script)
+    added = top.split()
     assert "toricchains" in added
     outside = [m for m in added if m != "toricchains" and m not in sys.stdlib_module_names]
     assert outside == []
+    assert set(library.split()) == LIBRARY_MODULES
+
+
+FAN_MODULES = {"exact_linalg", "root_fans"}
+POINT_MODULES = FAN_MODULES | {"fields", "orbit_points"}
+POLYTOPE_MODULES = FAN_MODULES | {"fields", "symbolic", "losev_manin"}
+
+_LOADED = (
+    "import contextlib, io, sys\n"
+    "import toricchains.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    status = toricchains.cli.main(sys.argv[1:])\n"
+    "print(status)\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('toricchains.'))))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        ("fan check --family A --n 3", FAN_MODULES),
+        ("point stab --family A --n 2 --coords 0,0,1,1 --field F7", POINT_MODULES),
+        ("chain from-point --family A --n 2 --coords 4,1,1,1 --field F11",
+         POINT_MODULES | {"chains"}),
+        ("polytope permutohedron --n 4", POLYTOPE_MODULES),
+        ("verify all --n 2", POLYTOPE_MODULES),
+    ],
+    ids=["fan", "point", "chain", "polytope", "verify"],
+)
+def test_a_cold_command_loads_only_the_modules_it_runs(command, modules):
+    status, loaded = run_python(_LOADED, *command.split())
+    assert status == "0"
+    assert set(loaded.split()) == {"toricchains.cli"} | {f"toricchains.{m}" for m in modules}
+
+
+def test_importing_the_package_loads_no_submodule():
+    (loaded,) = run_python(
+        "import sys, toricchains\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('toricchains'))))\n"
+    )
+    assert loaded == "toricchains"

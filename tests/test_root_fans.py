@@ -714,6 +714,42 @@ class TestGroupData:
             weight_matrix(torsion)
 
 
+_TRIANGLE = ((1, 0), (0, 1), (-1, -1))
+
+
+def _cone_error_oracle(cone, num_rays):
+    """The message of the first failing per-cone check, by the full walk."""
+    if list(cone) != sorted(set(cone)):
+        return "cone ray indices must be sorted and distinct"
+    if any(not 0 <= i < num_rays for i in cone):
+        return "cone ray index out of range"
+    return None
+
+
+class TestConeIndexChecks:
+    @pytest.mark.parametrize("cone", [(1, 0), (0, 0), (3, -1)],
+                             ids=["unsorted", "repeated", "unsorted-before-range"])
+    def test_unsorted_or_repeated_index(self, cone):
+        with pytest.raises(ValueError, match="^cone ray indices must be sorted and distinct$"):
+            StackyFan(2, _TRIANGLE, tuple("xyz"), ((0, 1), cone))
+
+    @pytest.mark.parametrize("cone", [(-1, 0), (1, 3)], ids=["minus-one", "num-rays"])
+    def test_index_out_of_range(self, cone):
+        with pytest.raises(ValueError, match="^cone ray index out of range$"):
+            StackyFan(2, _TRIANGLE, tuple("xyz"), ((0, 1), cone))
+
+    def test_random_cones_match_the_full_walk(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            cone = tuple(rng.randrange(-2, 5) for _ in range(rng.randrange(4)))
+            try:
+                StackyFan(2, _TRIANGLE, tuple("xyz"), (cone,))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == _cone_error_oracle(cone, 3), cone
+
+
 class TestMorphismsAndCanonicalStack:
     def test_identity_map(self):
         fan = build_upsilon(FanFamily("A", 2))
