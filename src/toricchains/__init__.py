@@ -78,13 +78,11 @@ _EXPORTS = {
     ),
     "losev_manin": (
         "LatticePolytope",
-        "SectionRelation",
         "SigmaPoint",
         "chart_section",
         "delta_j",
         "minkowski_sum",
         "permutohedron",
-        "relations_generator",
         "root_segment",
         "sigma_forget",
         "verify_a_data_cocycle",
@@ -93,7 +91,7 @@ _EXPORTS = {
         "verify_minkowski",
         "verify_section_hyperplane",
     ),
-    "symbolic": ("MultiPoly", "RationalExpr", "expr_is_zero", "parse_poly"),
+    "symbolic": ("MultiPoly", "RationalExpr", "parse_poly"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

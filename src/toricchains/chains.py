@@ -220,9 +220,6 @@ class ChainModel:
     def num_components(self) -> int:
         return len(self.component_degrees)
 
-    def is_irreducible(self) -> bool:
-        return self.num_components == 1
-
     def to_dict(self) -> dict:
         return {
             "field": self.field.name,
@@ -422,18 +419,6 @@ def point_from_polynomial(coeffs: Sequence, field: Field) -> ExtendedPoint:
     k0 = field.inv(c[0])
     units = [field.mul(k0, field.pow(r, i)) for i in range(n + 1)]
     return act_extended(units, e)
-
-
-def polynomial_orbit_invariants(coeffs: Sequence, field: Field) -> List[Element]:
-    """The twist invariants c_{k-1} c_{k+1} / c_k^2 of an all-nonzero
-    coefficient tuple; constant along extended orbits with fixed twists."""
-    c = [field.of(x) for x in coeffs]
-    if any(field.is_zero(x) for x in c):
-        raise ValueError("invariants need all coefficients nonzero")
-    return [
-        field.div(field.mul(c[k - 1], c[k + 1]), field.mul(c[k], c[k]))
-        for k in range(1, len(c) - 1)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -230,66 +230,6 @@ def verify_minkowski(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Product-of-projective-spaces relations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectionRelation:
-    """A monomial identity prod x_{J_i} = prod x_{J'_i} between sections."""
-
-    lhs: Tuple[FrozenSet[int], ...]
-    rhs: Tuple[FrozenSet[int], ...]
-
-
-def _chi_sum(subsets: Sequence[FrozenSet[int]], n: int) -> Tuple[int, ...]:
-    return tuple(sum(1 for s in subsets if i in s) for i in range(1, n + 1))
-
-
-def relations_generator(n: int, l_max: int) -> List[SectionRelation]:
-    """All relations of length at most l_max: multisets of proper nonempty
-    subsets, sizewise matched, with equal characteristic-function sums and
-    distinct sides.  Each emitted relation is a monomial identity."""
-    if n < 2 or l_max < 2:
-        raise ValueError("need n >= 2 and l_max >= 2")
-    subsets = [frozenset(s) for s in sigma_subsets(n)]
-    key = lambda s: (len(s), tuple(sorted(s)))
-    out = []
-    seen = set()
-    for l in range(2, l_max + 1):
-        for lhs in itertools.combinations_with_replacement(sorted(subsets, key=key), l):
-            sizes = tuple(len(s) for s in lhs)
-            chi = _chi_sum(lhs, n)
-            for rhs in itertools.combinations_with_replacement(
-                sorted(subsets, key=key), l
-            ):
-                if tuple(len(s) for s in rhs) != sizes:
-                    continue
-                if rhs == lhs:
-                    continue
-                if _chi_sum(rhs, n) != chi:
-                    continue
-                pair = tuple(sorted((tuple(sorted(map(key, lhs))), tuple(sorted(map(key, rhs))))))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                out.append(SectionRelation(tuple(lhs), tuple(rhs)))
-    return out
-
-
-def relation_holds(rel: SectionRelation, n: int) -> bool:
-    """Substitute x_J = prod_{i in J} x_i and compare monomials."""
-    f = QQ
-    lhs = MultiPoly.const(f, n, 1)
-    for s in rel.lhs:
-        lhs = lhs * MultiPoly.monomial(f, tuple(1 if i + 1 in s else 0 for i in range(n)))
-    rhs = MultiPoly.const(f, n, 1)
-    for s in rel.rhs:
-        rhs = rhs * MultiPoly.monomial(f, tuple(1 if i + 1 in s else 0 for i in range(n)))
-    return (lhs - rhs).is_zero()
-
-
-# ---------------------------------------------------------------------------
 # Chart sections and symbolic identities
 # ---------------------------------------------------------------------------
 

@@ -99,10 +99,6 @@ def _weights(fan: StackyFan) -> IntMatrix:
     return weight_matrix(fan)
 
 
-def free_rank(fan: StackyFan) -> int:
-    return _weights(fan).rows
-
-
 def act(g: GroupElement, p: FanPoint) -> FanPoint:
     """Multiply each coordinate by its character value at g."""
     coords = scale_by_characters(_weights(p.fan), g.units, p.coords, p.field)
@@ -140,7 +136,10 @@ class _DlogContext:
 
     def __init__(self, field: PrimeField):
         if field.p > _DLOG_TABLE_BOUND:
-            raise ValueError(f"prime {field.p} exceeds the discrete-log guard")
+            raise ValueError(
+                f"discrete-log guard: p = {field.p} exceeds the bound "
+                f"_DLOG_TABLE_BOUND = {_DLOG_TABLE_BOUND}"
+            )
         self.field = field
         self.g = _primitive_root(field.p)
         table: Dict[int, int] = {}

@@ -105,12 +105,39 @@ class StackyFan:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _json_entry(data: dict, key: str, ok, shape: str):
+    """``data[key]`` if ``ok`` accepts it; else a ValueError naming the key."""
+    if key not in data:
+        raise ValueError(f"fan file: missing key {key!r}")
+    if not ok(data[key]):
+        raise ValueError(f"fan file: key {key!r} must be {shape}")
+    return data[key]
+
+
+def _is_list_of(value, kind: type) -> bool:
+    # exact types, so that a bool is no int
+    return type(value) is list and set(map(type, value)) <= {kind}
+
+
+def _is_int_rows(value) -> bool:
+    if not _is_list_of(value, list):
+        return False
+    return set(map(type, itertools.chain.from_iterable(value))) <= {int}
+
+
 def fan_from_json(text: str) -> StackyFan:
+    """Read the ``to_json`` format (``schemas/fan.schema.json``).  A missing
+    key, or an entry that is not an int (bools included) or a str label,
+    raises ValueError naming the key."""
     data = json.loads(text)
-    rank = int(data["rank"])
-    rays = tuple(tuple(int(x) for x in v) for v in data["rays"])
-    max_cones = tuple(tuple(int(i) for i in c) for c in data["max_cones"])
-    labels = tuple(str(s) for s in data["ray_labels"])
+    if type(data) is not dict:
+        raise ValueError("fan file: expected a JSON object")
+    rank = _json_entry(data, "rank", lambda v: type(v) is int, "an integer")
+    rows = "a list of integer lists"
+    rays = tuple(map(tuple, _json_entry(data, "rays", _is_int_rows, rows)))
+    max_cones = tuple(map(tuple, _json_entry(data, "max_cones", _is_int_rows, rows)))
+    strings = "a list of strings"
+    labels = tuple(_json_entry(data, "ray_labels", lambda v: _is_list_of(v, str), strings))
     named = _named_fan(rank, rays, max_cones)
     if named is not None and named.ray_labels == labels:
         return named

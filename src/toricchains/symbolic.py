@@ -122,25 +122,6 @@ class MultiPoly:
                     out[exp] = s
         return MultiPoly(f, self.num_vars, out)
 
-    def scale(self, value) -> "MultiPoly":
-        f = self.field
-        c = f.of(value)
-        if f.is_zero(c):
-            return MultiPoly.zero(f, self.num_vars)
-        return MultiPoly(f, self.num_vars, {e: f.mul(v, c) for e, v in self.terms.items()})
-
-    def __pow__(self, e: int) -> "MultiPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.field, self.num_vars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def evaluate(self, point: Sequence[Element]) -> Element:
         if len(point) != self.num_vars:
             raise ValueError("point length mismatch")
@@ -153,32 +134,6 @@ class MultiPoly:
                     v = f.mul(v, f.pow(x, e))
             total = f.add(total, v)
         return total
-
-    def substitute(self, images: Sequence["RationalExpr"]) -> "RationalExpr":
-        """Substitute x_i -> images[i], multiplying denominators out formally."""
-        if len(images) != self.num_vars:
-            raise ValueError("need one image per variable")
-        for img in images:
-            img._check_valid()
-            if img.field != self.field:
-                raise ValueError("image field differs from polynomial field")
-        f = self.field
-        nv = images[0].num.num_vars if images else 0
-        maxdeg = [0] * self.num_vars
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                maxdeg[i] = max(maxdeg[i], e)
-        # Common denominator prod den_i^maxdeg_i; no gcd reduction anywhere.
-        den = MultiPoly.const(f, nv, 1)
-        for i, img in enumerate(images):
-            den = den * img.den ** maxdeg[i]
-        num = MultiPoly.zero(f, nv)
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(f, nv, c)
-            for i, e in enumerate(exp):
-                term = term * images[i].num ** e * images[i].den ** (maxdeg[i] - e)
-            num = num + term
-        return RationalExpr(num, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -260,9 +215,6 @@ class RationalExpr:
     den: MultiPoly
 
     def __post_init__(self):
-        self._check_valid()
-
-    def _check_valid(self):
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator in rational expression")
         self.num._check_compatible(self.den)
@@ -308,11 +260,6 @@ class RationalExpr:
     def __mul__(self, other: "RationalExpr") -> "RationalExpr":
         return RationalExpr(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: "RationalExpr") -> "RationalExpr":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero expression")
-        return RationalExpr(self.num * other.den, self.den * other.num)
-
     def __neg__(self) -> "RationalExpr":
         return RationalExpr(-self.num, self.den)
 
@@ -328,23 +275,3 @@ class RationalExpr:
         if self.field.is_zero(d):
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.field.div(self.num.evaluate(point), d)
-
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def poly_sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p - q
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def poly_substitute(p: MultiPoly, images: Sequence[RationalExpr]) -> RationalExpr:
-    return p.substitute(images)
-
-
-def expr_is_zero(e: RationalExpr) -> bool:
-    return e.is_zero()

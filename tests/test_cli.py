@@ -10,9 +10,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from toricchains import root_fans
 from toricchains.chains import poly_from_roots
 from toricchains.cli import build_parser, main
 from toricchains.fields import GF
+from toricchains.root_fans import FanFamily, build_upsilon
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +42,7 @@ class TestFanCommands:
         assert code == 0
         data = json.loads(path.read_text())
         assert data["rank"] == 3 and len(data["rays"]) == 6
+        assert root_fans.fan_from_json(path.read_text()) == build_upsilon(FanFamily("A", 3))
         code, out = run(capsys, "fan", "check", str(path), "--json")
         assert code == 0
         payload = json.loads(out)
@@ -68,6 +71,33 @@ class TestFanCommands:
         path.write_text(json.dumps(data))
         code, _ = run(capsys, "fan", "check", str(path), "--json")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "key, value", [("max_cones", None), ("rays", 5), ("ray_labels", [1, 2, 3, 4])],
+        ids=["missing-key", "not-a-list", "int-labels"],
+    )
+    def test_malformed_fan_file_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(data))
+        code = main(["fan", "check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: fan file:") and repr(key) in captured.err
+
+    def test_an_assertion_in_a_handler_exits_3(self, monkeypatch, capsys):
+        def broken(fan):
+            raise AssertionError("walls disagree")
+
+        monkeypatch.setattr(root_fans, "check_fan", broken)
+        code = main("fan check --family A --n 2".split())
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "internal invariant violation: walls disagree\n"
 
     @pytest.mark.parametrize(
         "family, n, message",
@@ -145,6 +175,20 @@ class TestPointCommands:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "orbit-count guard" in proc.stderr
         assert "177147" in proc.stderr and "the bound 100000" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["canon --family A --n 1 --coords 1,2", "orbit-eq --family A --n 1 --coords 1,2 "
+         "--coords2 2,1", "enumerate --family A --n 1 --p 1000003"],
+        ids=["canon", "orbit-eq", "enumerate"],
+    )
+    def test_discrete_log_guard_names_p_and_its_bound(self, capsys, argv):
+        field = [] if "--p" in argv else ["--field", "F1000003"]
+        code = main(["point", *argv.split(), *field])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "discrete-log guard: p = 1000003" in captured.err
+        assert "the bound _DLOG_TABLE_BOUND = 200003" in captured.err
 
     def test_enumerate_orbit_count_guard(self, capsys):
         # (A_5, F_11) has 253186 orbits, above the guard's bound of 10^5

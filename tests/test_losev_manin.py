@@ -1,5 +1,5 @@
-"""Permutohedral polytopes, product relations, chart sections, the symbolic
-identities, and the point-level forgetting map."""
+"""Permutohedral polytopes, chart sections, the symbolic identities, and the
+point-level forgetting map."""
 
 import dataclasses
 import itertools
@@ -26,8 +26,6 @@ from toricchains.losev_manin import (
     minkowski_sum,
     minkowski_sum_all,
     permutohedron,
-    relation_holds,
-    relations_generator,
     root_segment,
     s_n_generators,
     section_numerators,
@@ -455,31 +453,6 @@ class TestVertexCertificate:
         for build, args in ((permutohedron, (8,)), (delta_j, (8, 3)), (root_segment, (8, 1, 2))):
             with pytest.raises(ValueError, match=message):
                 build(*args)
-
-
-class TestRelations:
-    def test_n3_l2(self):
-        rels = relations_generator(3, 2)
-        assert rels
-        for rel in rels:
-            assert relation_holds(rel, 3)
-            assert sorted(len(s) for s in rel.lhs) == sorted(len(s) for s in rel.rhs)
-            assert rel.lhs != rel.rhs
-
-    def test_example_relation_present(self):
-        def canon(side):
-            return tuple(sorted(tuple(sorted(s)) for s in side))
-
-        rels = relations_generator(3, 2)
-        want = {
-            canon((frozenset({1, 2}), frozenset({3}))),
-            canon((frozenset({1, 3}), frozenset({2}))),
-        }
-        assert any({canon(r.lhs), canon(r.rhs)} == want for r in rels)
-
-    def test_n4_all_hold(self):
-        for rel in relations_generator(4, 2):
-            assert relation_holds(rel, 4)
 
 
 class TestChartSections:

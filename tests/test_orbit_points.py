@@ -19,7 +19,6 @@ from toricchains.orbit_points import (
     canonical_form,
     count_coarse_points,
     enumerate_orbits,
-    free_rank,
     is_nondegenerate,
     make_point,
     orbit_equal,
@@ -32,6 +31,7 @@ from toricchains.root_fans import (
     FanFamily,
     build_sigma_A,
     build_upsilon,
+    dg_group,
     fan_faces,
     weight_matrix,
 )
@@ -306,6 +306,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_form(make_point(A1, QQ, [1, 1]))
 
+    def test_discrete_log_guard_names_itself_and_its_bound(self):
+        message = "discrete-log guard: p = 1000003 exceeds the bound _DLOG_TABLE_BOUND = 200003"
+        with pytest.raises(ValueError, match=message):
+            canonical_form(make_point(A1, GF(1000003), [1, 2]))
+
 
 class TestStabilizer:
     def test_mu_n_at_deep_stratum(self):
@@ -446,8 +451,8 @@ class TestEnumerate:
 
 
 def test_free_rank_matches_weights():
-    assert free_rank(A2) == 2
-    assert free_rank(build_sigma_A(3)) == 4
+    for fan, rank in ((A2, 2), (SIGMA3, 4)):
+        assert dg_group(fan).free_rank == weight_matrix(fan).rows == rank
 
 
 def _character_values(units, rows):

@@ -803,9 +803,7 @@ class TestJson:
         data = json.loads(fan.to_json())
         assert set(data) == {"rank", "ray_labels", "rays", "max_cones"}
         back = fan_from_json(fan.to_json())
-        assert back.rays == fan.rays
-        assert back.max_cones == fan.max_cones
-        assert back.family == FanFamily("C", 2)
+        assert back == fan and back.family == FanFamily("C", 2)
 
     def test_round_trip_keeps_other_labels(self):
         data = json.loads(build_upsilon(FanFamily("Cminus", 3)).to_json())
@@ -819,6 +817,41 @@ class TestJson:
                            "max_cones": []})
         with pytest.raises(ValueError, match="ray dimension mismatch"):
             fan_from_json(text)
+
+    @pytest.mark.parametrize("key", ["rank", "ray_labels", "rays", "max_cones"])
+    def test_missing_key_is_named(self, key):
+        data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
+        del data[key]
+        with pytest.raises(ValueError, match=f"fan file: missing key '{key}'"):
+            fan_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rays", 5),
+            ("rays", [1, 2]),
+            ("max_cones", {"0": [0, 1]}),
+            ("ray_labels", "abcd"),
+            ("rays", [[-2, 1], [1, -2], [1, 0], [0, 1.9]]),
+            ("rays", [[-2, 1], [1, -2], [1, 0], [0, True]]),
+            ("rays", [[-2, 1], [1, -2], [1, 0], [0, "1"]]),
+            ("max_cones", [[0, 1.0], [1, 2], [2, 3], [0, 3]]),
+            ("rank", 2.0),
+            ("rank", True),
+            ("ray_labels", ["a", "b", "c", 4]),
+        ],
+        ids=["rays-int", "rays-flat", "cones-dict", "labels-str", "float-1.9", "bool-true",
+             "string-1", "float-index", "float-rank", "bool-rank", "int-label"],
+    )
+    def test_entry_of_the_wrong_type_is_named(self, key, value):
+        data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
+        data[key] = value
+        with pytest.raises(ValueError, match=f"fan file: key '{key}' must be "):
+            fan_from_json(json.dumps(data))
+
+    def test_top_level_list_is_rejected(self):
+        with pytest.raises(ValueError, match="fan file: expected a JSON object"):
+            fan_from_json("[]")
 
     def test_sigma_round_trip(self):
         fan = build_sigma_A(3)
