@@ -17,7 +17,6 @@ reduced into ``[0, pivot)``) so that serialized output is bit-stable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,18 +99,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_decimal_rows())
-
-    def to_decimal_rows(self) -> List[List[str]]:
-        """Rows of decimal strings; the interchange format for matrices."""
-        return [[str(x) for x in self.row(i)] for i in range(self.rows)]
-
-    @staticmethod
-    def from_json(text: str) -> "IntMatrix":
-        data = json.loads(text)
-        return IntMatrix.from_rows([[int(x) for x in row] for row in data])
 
 
 @dataclass(frozen=True)
@@ -325,13 +312,6 @@ def cokernel(A: IntMatrix) -> FinDiagGroupDesc:
     form = snf(A)
     torsion = tuple(x for x in form.d if x > 1)
     return FinDiagGroupDesc(A.rows - form.rank, torsion)
-
-
-def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution x of A x = b, or None if unsolvable."""
-    if len(b) != A.rows:
-        raise ValueError("rhs length mismatch")
-    return snf(A).solve(b)
 
 
 def solve_mod(A: IntMatrix, b: Sequence[int], modulus: int) -> Optional[List[int]]:

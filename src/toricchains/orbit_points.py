@@ -39,7 +39,7 @@ from .exact_linalg import (
     solve_mod,
 )
 from .fields import Element, Field, PrimeField, RationalField, _is_prime_power, _prime_factors
-from .root_fans import StackyFan, check_fan, fan_faces, weight_matrix
+from .root_fans import StackyFan, face_partition, fan_faces, weight_matrix
 
 _DLOG_TABLE_BOUND = 200_003
 _ORBIT_COUNT_BOUND = 10**5
@@ -281,23 +281,20 @@ def orbit_equal(p: FanPoint, q: FanPoint) -> bool:
 
 
 def stabilizer(p: FanPoint) -> FinDiagGroupDesc:
-    """Stabilizer group scheme of a nondegenerate point.
-
-    Computed as the cokernel of the character lattice spanned by the weights
-    of the nonzero coordinates; the order is a group-scheme order and does
-    not depend on the field.  A positive free rank signals an infinite
-    stabilizer (non-complete support configuration).
-    """
+    """Stabilizer group scheme of a nondegenerate point: the cokernel of its
+    zero set's rays (:func:`_face_group`).  The order is a group-scheme
+    order and does not depend on the field; a positive free rank signals an
+    infinite stabilizer (dependent rays in the zero set)."""
     if not is_nondegenerate(p.fan, p.coords, p.field):
         raise ValueError("stabilizer requires a nondegenerate point")
-    w = _weights(p.fan)
-    support = p.support()
-    if not support:
-        return FinDiagGroupDesc(w.rows, ())
-    cols = IntMatrix.from_rows(
-        [[w[k, r] for r in support] for k in range(w.rows)]
-    )
-    return cokernel(cols)
+    return _face_group(p.fan, p.zero_set())
+
+
+def _face_group(fan: StackyFan, face: Sequence[int]) -> FinDiagGroupDesc:
+    """Z^rays / (im beta^T + Z^support), which fixes the points with zero set
+    ``face``: the cokernel of its rays as rows (Borisov, Chen & Smith, JAMS
+    2005).  It needs no weights, so it is defined when the group has torsion."""
+    return cokernel(IntMatrix(len(face), fan.rank, tuple(x for r in face for x in fan.rays[r])))
 
 
 def stabilizer_order(p: FanPoint) -> int:
@@ -398,56 +395,50 @@ def _point_on(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _complete_fan_faces(fan: StackyFan) -> Tuple[Tuple[int, ...], ...]:
-    if not check_fan(fan).all_ok:
-        raise ValueError("coarse point count requires a verified complete fan")
-    return tuple(fan_faces(fan))
-
-
 def count_coarse_points(fan: StackyFan, q: int) -> int:
-    """Number of F_q points of the coarse toric variety: each cone sigma
-    contributes one torus orbit of size (q-1)^(rank - dim sigma)."""
+    """F_q points of the coarse toric variety of a complete fan: a face tau
+    is an orbit of (q-1)^(rank - |tau|) points, and the m free rays of an
+    interval of :func:`face_partition` add up to sum_j C(m, j) (q-1)^(m-j) = q^m."""
     if not _is_prime_power(q):
         raise ValueError("q must be a prime power")
-    return sum((q - 1) ** (fan.rank - len(face)) for face in _complete_fan_faces(fan))
+    return sum(q ** (fan.rank - len(low)) for low in face_partition(fan).values())
 
 
 def enumerate_orbits(fan: StackyFan, p: int) -> List[Tuple[FanPoint, int]]:
-    """Enumerate the torus orbits of nondegenerate F_p points.
+    """Enumerate the torus orbits of nondegenerate F_p points (complete fans).
 
     Returns (canonical representative, stabilizer group-scheme order) pairs,
     sorted by representative.  Each face of the fan is one stratum: one HNF
     gives its lattice basis, whose pivots d_i make the reduced coset
     representatives prod range(d_i), one per orbit, and each goes through
-    the greedy pass of :func:`canonical_form`; one cokernel gives the
+    the greedy pass of :func:`canonical_form`; the face's rays give the
     stabilizer order shared by the stratum.  The orbit-count guard compares
     the number of faces (each stratum holds at least one orbit) with its
-    bound before the first HNF, and the total sum over faces of prod d_i
-    before any orbit is built.
+    bound before any face is listed, and the total sum over faces of
+    prod d_i before any orbit is built.
     """
     field = PrimeField(p)
     ctx = _dlog_context(field)
     w = _weights(fan)
-    faces = fan_faces(fan)
-    if len(faces) > _ORBIT_COUNT_BOUND:
+    count = sum(2 ** (fan.rank - len(low)) for low in face_partition(fan).values())
+    if count > _ORBIT_COUNT_BOUND:
         raise ValueError(
-            f"orbit-count guard: at least {len(faces)} torus orbits of F_{p} points "
+            f"orbit-count guard: at least {count} torus orbits of F_{p} points "
             f"(one per face) exceed the bound {_ORBIT_COUNT_BOUND}"
         )
     strata = []
-    for face in faces:
+    for face in fan_faces(fan):
         support = tuple(r for r in range(fan.num_rays) if r not in face)
-        strata.append((support, _stratum_basis(w, support, p - 1)))
-    count = sum(math.prod(row[i] for i, row in enumerate(b)) for _, b in strata)
+        strata.append((face, support, _stratum_basis(w, support, p - 1)))
+    count = sum(math.prod(row[i] for i, row in enumerate(b)) for _, _, b in strata)
     if count > _ORBIT_COUNT_BOUND:
         raise ValueError(
             f"orbit-count guard: {count} torus orbits of F_{p} points exceed "
             f"the bound {_ORBIT_COUNT_BOUND}"
         )
     orbits = []
-    for support, basis in strata:
-        order = stabilizer_order(_point_on(fan, field, support, [1] * len(support)))
+    for face, support, basis in strata:
+        order = _face_group(fan, face).order
         pivots = [range(row[i]) for i, row in enumerate(basis)]
         for logs in itertools.product(*pivots):
             values = _least_values(ctx, basis, logs)

@@ -19,6 +19,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_linalg import (
@@ -127,11 +128,14 @@ def _is_int_rows(value) -> bool:
 
 def fan_from_json(text: str) -> StackyFan:
     """Read the ``to_json`` format (``schemas/fan.schema.json``).  A missing
-    key, or an entry that is not an int (bools included) or a str label,
-    raises ValueError naming the key."""
+    or unknown key, or an entry that is not an int (bools included) or a str
+    label, raises ValueError naming the key."""
     data = json.loads(text)
     if type(data) is not dict:
         raise ValueError("fan file: expected a JSON object")
+    unknown = sorted(data.keys() - {"rank", "ray_labels", "rays", "max_cones"})
+    if unknown:
+        raise ValueError(f"fan file: unknown key {unknown[0]!r}")
     rank = _json_entry(data, "rank", lambda v: type(v) is int, "an integer")
     rows = "a list of integer lists"
     rays = tuple(map(tuple, _json_entry(data, "rays", _is_int_rows, rows)))
@@ -464,6 +468,12 @@ def check_fan(fan: StackyFan) -> FanReport:
     condition holds and that number is one, so the cones cover space once
     and form a complete fan.
     """
+    return _certify(fan)[0]
+
+
+def _certify(fan: StackyFan) -> Tuple[FanReport, dict, Optional[List[int]]]:
+    """:func:`check_fan`'s report, each maximal cone's inequalities (None for
+    dependent rays) and its point x (None unless the wall condition holds)."""
     walls, by_cone = _walk(fan)
     functionals = {cone: f and f[0] for cone, f in by_cone.items()}
     simplicial = all(f is not None for f in functionals.values())
@@ -479,7 +489,7 @@ def check_fan(fan: StackyFan) -> FanReport:
         len(sides) == 2 and opposite(sides) for sides in walls.values()
     )
 
-    complete = False
+    complete, x = False, None
     if wall:
         # A facet functional u is nonzero, so sum(u_i * M**i) is a nonzero
         # integer polynomial in M; by Cauchy's bound its roots have absolute
@@ -489,17 +499,34 @@ def check_fan(fan: StackyFan) -> FanReport:
         x = [M**i for i in range(fan.rank)]
         inside = sum(all(_dot(u, x) > 0 for u in us) for us in functionals.values())
         complete = inside == 1
-    return FanReport(simplicial, pure, wall, complete)
+    return FanReport(simplicial, pure, wall, complete), functionals, x
+
+
+@lru_cache(maxsize=None)
+def face_partition(fan: StackyFan) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """``{sigma: R(sigma)}``, R(sigma) the rays of sigma whose inequality is
+    negative at the x of :func:`check_fan`.  As x lies on no facet
+    hyperplane, each face F lies in exactly one interval [R(sigma), sigma],
+    the one whose sigma holds F + eps x; the sizes |R(sigma)| count the
+    h-vector (Fulton, *Introduction to Toric Varieties*, 1993, 5.2).
+    Raises ValueError unless the certificate passes."""
+    report, functionals, x = _certify(fan)
+    if not report.all_ok:
+        raise ValueError("faces and point counts require a verified complete fan")
+    return {
+        cone: tuple(r for r, u in zip(cone, us) if _dot(u, x) < 0)
+        for cone, us in functionals.items()
+    }
 
 
 def fan_faces(fan: StackyFan) -> List[Tuple[int, ...]]:
-    """All faces of all maximal cones (simplicial: faces = ray subsets),
-    including the zero cone, each listed once, deterministically ordered."""
-    faces = set()
-    for cone in fan.max_cones:
-        for size in range(len(cone) + 1):
-            for sub in itertools.combinations(cone, size):
-                faces.add(sub)
+    """All faces of a complete fan, the zero cone included, each once, in
+    (size, rays) order: R(sigma) plus each subset of the rest of sigma."""
+    faces = []
+    for cone, low in face_partition(fan).items():
+        free = [r for r in cone if r not in low]
+        for size in range(len(free) + 1):
+            faces += (tuple(sorted(low + sub)) for sub in itertools.combinations(free, size))
     return sorted(faces, key=lambda f: (len(f), f))
 
 

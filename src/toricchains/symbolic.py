@@ -122,19 +122,6 @@ class MultiPoly:
                     out[exp] = s
         return MultiPoly(f, self.num_vars, out)
 
-    def evaluate(self, point: Sequence[Element]) -> Element:
-        if len(point) != self.num_vars:
-            raise ValueError("point length mismatch")
-        f = self.field
-        total = f.zero
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v = f.mul(v, f.pow(x, e))
-            total = f.add(total, v)
-        return total
-
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> str:
@@ -265,13 +252,3 @@ class RationalExpr:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def equals(self, other: "RationalExpr") -> bool:
-        """p/q == r/s  iff  p*s - r*q expands to zero."""
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def evaluate(self, point: Sequence[Element]) -> Element:
-        d = self.den.evaluate(point)
-        if self.field.is_zero(d):
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.field.div(self.num.evaluate(point), d)

@@ -71,10 +71,17 @@ class TestFanCommands:
         path.write_text(json.dumps(data))
         code, _ = run(capsys, "fan", "check", str(path), "--json")
         assert code == 1
+        # faces, counts and orbits need a complete fan
+        for argv in (["count", "--q", "3"], ["enumerate", "--p", "3"]):
+            code = main(["point", *argv, "--fan", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: faces and point counts require a verified complete fan\n"
 
     @pytest.mark.parametrize(
-        "key, value", [("max_cones", None), ("rays", 5), ("ray_labels", [1, 2, 3, 4])],
-        ids=["missing-key", "not-a-list", "int-labels"],
+        "key, value",
+        [("max_cones", None), ("rays", 5), ("ray_labels", [1, 2, 3, 4]), ("extra", 1)],
+        ids=["missing-key", "not-a-list", "int-labels", "unknown-key"],
     )
     def test_malformed_fan_file_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
         data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
@@ -132,6 +139,13 @@ class TestPointCommands:
         assert code == 0
         assert json.loads(out) == {"free_rank": 0, "torsion": [3]}
 
+    def test_stab_with_torsion_in_the_acting_group(self, capsys):
+        # Cminus has no split weight matrix; the stabilizer needs none.
+        argv = "point stab --family Cminus --n 3 --coords 0,1,1,1 --field F7 --json"
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert json.loads(out) == {"free_rank": 0, "torsion": [2]}
+
     def test_count(self, capsys):
         code, out = run(capsys, *"point count --family A --n 1 --q 5 --json".split())
         assert code == 0
@@ -175,6 +189,12 @@ class TestPointCommands:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "orbit-count guard" in proc.stderr
         assert "177147" in proc.stderr and "the bound 100000" in proc.stderr
+
+    def test_largest_admitted_fan_count(self):
+        # The face partition counts A_14 without listing its 3^14 faces.
+        proc = run_subprocess("point count --family A --n 14 --q 3".split(), 0, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{4**14}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -23,7 +23,6 @@ from toricchains.exact_linalg import (
     invert_rational,
     kernel_basis,
     snf,
-    solve_integer,
     solve_mod,
     solve_rational,
 )
@@ -317,8 +316,8 @@ class TestCokernel:
 class TestSolvers:
     def test_solve_integer(self):
         a = _mat([[2, 0], [0, 3]])
-        assert solve_integer(a, [4, 9]) == [2, 3]
-        assert solve_integer(a, [1, 0]) is None
+        assert snf(a).solve([4, 9]) == [2, 3]
+        assert snf(a).solve([1, 0]) is None
 
     def test_solve_mod(self):
         a = _mat([[2]])
@@ -326,9 +325,9 @@ class TestSolvers:
         assert solve_mod(a, [3], 6) is None
 
     def test_zero_shapes(self):
-        assert solve_integer(IntMatrix.zeros(0, 3), []) == [0, 0, 0]
-        assert solve_integer(IntMatrix.zeros(3, 0), [0, 0, 0]) == []
-        assert solve_integer(IntMatrix.zeros(3, 0), [0, 1, 0]) is None
+        assert snf(IntMatrix.zeros(0, 3)).solve([]) == [0, 0, 0]
+        assert snf(IntMatrix.zeros(3, 0)).solve([0, 0, 0]) == []
+        assert snf(IntMatrix.zeros(3, 0)).solve([0, 1, 0]) is None
         assert solve_mod(IntMatrix.zeros(2, 2), [2, 4], 2) == [0, 0]
         assert solve_mod(IntMatrix.zeros(2, 2), [1, 0], 2) is None
 
@@ -360,7 +359,7 @@ class TestSolvers:
             a = _mat([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
             x = [rng.randint(-5, 5) for _ in range(c)]
             b = a.mul_vector(x)
-            sol = solve_integer(a, b)
+            sol = snf(a).solve(b)
             assert sol is not None
             assert a.mul_vector(sol) == b
             mod = rng.choice([2, 4, 6, 10])
@@ -434,9 +433,3 @@ class TestBareiss:
         assert pivots == [0, 1] and sign == -1 and d == 2
         assert [row[:2] for row in m] == [[2, 0], [0, 2]]
         assert [[sign * x for x in row[2:]] for row in m] == [[3, -1], [-2, 0]]
-
-
-def test_matrix_json_round_trip():
-    m = _mat([[10**40, -3], [0, 7]])
-    assert IntMatrix.from_json(m.to_json()).to_rows() == m.to_rows()
-    assert m.to_decimal_rows()[0][0] == str(10**40)

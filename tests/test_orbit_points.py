@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from toricchains import orbit_points
-from toricchains.exact_linalg import IntMatrix, solve_integer, solve_mod
+from toricchains.exact_linalg import FinDiagGroupDesc, IntMatrix, cokernel, snf, solve_mod
 from toricchains.fields import GF, QQ
 from toricchains.orbit_points import (
     _rational_factor_data,
@@ -91,6 +91,17 @@ def _partition_problems(fan, field, orbits):
         for pt, order in orbits if order != stabilizer_order(pt)
     ]
     return problems
+
+
+def _point_with_zero_set(fan, face):
+    return make_point(fan, F7, [0 if r in face else 1 for r in range(fan.num_rays)])
+
+
+def _weight_side_stabilizer(p):
+    """The stabilizer as the cokernel of the support's weight columns: the
+    path the face's rays replaced, defined only for a torsion-free group."""
+    w = weight_matrix(p.fan)
+    return cokernel(IntMatrix.from_rows([[w[k, r] for r in p.support()] for k in range(w.rows)]))
 
 
 class TestNondegeneracy:
@@ -340,6 +351,39 @@ class TestStabilizer:
             p = make_point(A2, field, [0, 0, 1, 1])
             assert stabilizer(p).torsion == (3,)
 
+    @pytest.mark.parametrize(
+        "fan",
+        [build_upsilon(FanFamily(t, n)) for t in ("A", "B", "Bcan", "C") for n in range(1, 5)]
+        + [SIGMA3, build_sigma_A(4)],
+        ids=[f"{t}{n}" for t in ("A", "B", "Bcan", "C") for n in range(1, 5)]
+        + ["SigmaA3", "SigmaA4"],
+    )
+    def test_face_rays_match_the_weight_side_cokernel(self, fan):
+        for face in fan_faces(fan):
+            p = _point_with_zero_set(fan, face)
+            assert stabilizer(p) == _weight_side_stabilizer(p), face
+
+    def test_weight_side_oracle_rejects_the_support(self):
+        # negative control: the rays of the support, not of the zero set
+        wrong = [
+            face for face in fan_faces(A2)
+            if _weight_side_stabilizer(_point_with_zero_set(A2, face))
+            != orbit_points._face_group(A2, [r for r in range(4) if r not in face])
+        ]
+        assert wrong
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_cminus_matches_sympy_invariant_factors(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        fan = build_upsilon(FanFamily("Cminus", n))
+        for face in fan_faces(fan)[1:]:
+            factors = invariant_factors(sympy.Matrix([fan.rays[r] for r in face]))
+            torsion = tuple(abs(int(x)) for x in factors if abs(int(x)) > 1)
+            assert stabilizer(_point_with_zero_set(fan, face)) == FinDiagGroupDesc(0, torsion)
+        assert stabilizer(_point_with_zero_set(fan, ())).is_trivial()
+
     def test_invariant_along_orbit(self):
         rng = random.Random(6)
         for _ in range(40):
@@ -416,20 +460,12 @@ class TestEnumerate:
     def test_free_locus_matches_coarse_count(self):
         # Over a finite field the free orbits biject with the free-stratum
         # coarse points (Lang's theorem kills the torsor obstruction).
-        from toricchains.exact_linalg import IntMatrix, cokernel
-        from toricchains.root_fans import fan_faces, weight_matrix
-
         q = 3
         orbits = enumerate_orbits(A2, q)
         free = sum(1 for _, order in orbits if order == 1)
-        w = weight_matrix(A2)
         expected = 0
         for face in fan_faces(A2):
-            support = [r for r in range(A2.num_rays) if r not in face]
-            cols = IntMatrix.from_rows(
-                [[w[k, r] for r in support] for k in range(w.rows)]
-            )
-            if cokernel(cols).is_trivial():
+            if _weight_side_stabilizer(_point_with_zero_set(A2, face)).is_trivial():
                 expected += (q - 1) ** (A2.rank - len(face))
         assert free == expected == 13
 
@@ -467,7 +503,7 @@ class TestSolveUnitsOverQ:
     def per_prime(rows, targets):
         a = IntMatrix.from_rows(rows)
         primes, vals, signs = _rational_factor_data([Fraction(t) for t in targets])
-        exps = [solve_integer(a, vals[q]) for q in primes]
+        exps = [snf(a).solve(vals[q]) for q in primes]
         s = solve_mod(a, signs, 2)
         if s is None or None in exps:
             return None

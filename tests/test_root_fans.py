@@ -9,8 +9,9 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from toricchains import root_fans
+from toricchains import orbit_points, root_fans
 from toricchains.exact_linalg import IntMatrix, hnf, invert_rational, solve_rational
+from toricchains.orbit_points import count_coarse_points, enumerate_orbits
 from toricchains.root_fans import (
     FanFamily,
     FanReport,
@@ -190,6 +191,12 @@ def _fold():
     rays = ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1))
     cones = ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
     return StackyFan(2, rays, tuple("abcdf"), cones)
+
+
+def _dropped():
+    """The A_2 fan without its last cone: two walls with one side each."""
+    fan = build_upsilon(FanFamily("A", 2))
+    return StackyFan(fan.rank, fan.rays, fan.ray_labels, fan.max_cones[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +614,58 @@ class TestFanMapPrefilter:
                     check(src, dst, IntMatrix.identity(2))
 
 
+def dedup_faces(fan: StackyFan) -> List[Tuple[int, ...]]:
+    """Every subset of every maximal cone, deduplicated in a set: the face
+    listing the face partition replaced."""
+    faces = set()
+    for cone in fan.max_cones:
+        for size in range(len(cone) + 1):
+            faces.update(itertools.combinations(cone, size))
+    return sorted(faces, key=lambda f: (len(f), f))
+
+
+def _flipped(partition, cones) -> dict:
+    """The partition with R(sigma) replaced by sigma - R(sigma) on ``cones``."""
+    return {
+        cone: tuple(r for r in cone if r not in low) if cone in cones else low
+        for cone, low in partition.items()
+    }
+
+
+class TestFacePartition:
+    @pytest.mark.parametrize("tag, n", WALK_FANS, ids=[f"{t}{n}" for t, n in WALK_FANS])
+    def test_listing_and_counts_match_the_dedup_oracle(self, tag, n):
+        fan = _family_fan(tag, n)
+        faces = dedup_faces(fan)
+        assert fan_faces(fan) == faces
+        for q in (2, 3, 4, 5, 7, 9):
+            expected = sum((q - 1) ** (fan.rank - len(face)) for face in faces)
+            assert count_coarse_points(fan, q) == expected, q
+
+    def test_oracle_catches_a_flipped_cone(self, monkeypatch):
+        fan = build_upsilon(FanFamily("C", 3))
+        partition = root_fans.face_partition(fan)
+        # Flipping every cone gives the partition of -x, as valid as that of
+        # x (h_k = h_(rank-k)); flipping the cone that holds x is not.
+        generic = next(cone for cone, low in partition.items() if not low)
+        for cones, valid in ((set(partition), True), ({generic}, False)):
+            flipped = _flipped(partition, cones)
+            monkeypatch.setattr(root_fans, "face_partition", lambda fan: flipped)
+            monkeypatch.setattr(orbit_points, "face_partition", lambda fan: flipped)
+            assert (fan_faces(fan) == dedup_faces(fan)) == valid
+            expected = sum(2 ** (fan.rank - len(face)) for face in dedup_faces(fan))
+            assert (count_coarse_points(fan, 3) == expected) == valid
+
+    @pytest.mark.parametrize(
+        "fan", [_double_cover(), _fold(), _dropped()], ids=["double-cover", "fold", "dropped"]
+    )
+    def test_non_fans_raise(self, fan):
+        for call in (fan_faces, lambda f: count_coarse_points(f, 3),
+                     lambda f: enumerate_orbits(f, 3)):
+            with pytest.raises(ValueError, match="require a verified complete fan"):
+                call(fan)
+
+
 class TestConeCountGuard:
     def test_largest_admitted_fans_build(self):
         assert len(build_upsilon(FanFamily("A", 14)).max_cones) == 2**14
@@ -848,6 +907,12 @@ class TestJson:
         data[key] = value
         with pytest.raises(ValueError, match=f"fan file: key '{key}' must be "):
             fan_from_json(json.dumps(data))
+
+    def test_unknown_key_is_named(self):
+        text = json.dumps({"rank": 1, "ray_labels": ["a", "b"], "rays": [[1], [-1]],
+                           "max_cones": [[0], [1]], "extra": 1})
+        with pytest.raises(ValueError, match="^fan file: unknown key 'extra'$"):
+            fan_from_json(text)
 
     def test_top_level_list_is_rejected(self):
         with pytest.raises(ValueError, match="fan file: expected a JSON object"):
