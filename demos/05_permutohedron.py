@@ -8,13 +8,12 @@ polynomials with unit coefficients whose telescoping alternating sum places
 every marked section on the subscheme hyperplane.
 """
 
-from fractions import Fraction
-
 from toricchains import (
     GF,
-    SigmaPoint,
+    build_sigma_A,
     chart_section,
     delta_j,
+    make_point,
     permutohedron,
     sigma_forget,
     verify_a_data_cocycle,
@@ -23,7 +22,6 @@ from toricchains import (
     verify_minkowski,
     verify_section_hyperplane,
 )
-from toricchains.root_fans import sigma_subsets
 
 print("permutohedron vertex counts (n!):")
 for n in (2, 3, 4, 5):
@@ -53,14 +51,9 @@ print("  three-term section cocycle (n<=5):     ",
 
 print("\npoint-level forgetting map for n=2: sections u, v push to the")
 print("elementary symmetric pair (u+v, uv):")
-sp = SigmaPoint.from_dict(
-    2, GF(11), {frozenset({1}): 5, frozenset({2}): 7}
-)
-e = sigma_forget(sp)
+# one value w_I per ray of the fan, in sigma_subsets order: w_{1} = 5, w_{2} = 7
+e = sigma_forget(make_point(build_sigma_A(2), GF(11), [5, 7]))
 print("  coefficients", e.c, "twists", e.b)
 
 print("\nand for n=3 with all w_I = 1 the image is binomial:")
-sp3 = SigmaPoint.from_dict(
-    3, GF(11), {frozenset(s): 1 for s in sigma_subsets(3)}
-)
-print("  coefficients", sigma_forget(sp3).c)
+print("  coefficients", sigma_forget(make_point(build_sigma_A(3), GF(11), [1] * 6)).c)

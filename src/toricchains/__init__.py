@@ -26,7 +26,6 @@ _EXPORTS = {
         "SmithForm",
         "cokernel",
         "hnf",
-        "kernel_basis",
         "snf",
     ),
     "root_fans": (
@@ -75,16 +74,15 @@ _EXPORTS = {
         "orbit_equal_extended",
         "parity_component",
         "point_from_polynomial",
+        "sigma_forget",
     ),
     "losev_manin": (
         "LatticePolytope",
-        "SigmaPoint",
         "chart_section",
         "delta_j",
         "minkowski_sum",
         "permutohedron",
         "root_segment",
-        "sigma_forget",
         "verify_a_data_cocycle",
         "verify_cd_disjoint",
         "verify_divisor_relation",

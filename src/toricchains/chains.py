@@ -4,18 +4,20 @@ A degree-n pointed chain is encoded by the degrees of its components and,
 per component, the univariate polynomial cutting out the length-n subscheme
 in that component's affine chart.  The conversions here move between fan
 points (coordinate tuples modulo the torus) and chain models, implement the
-degree-n! label-forgetting fiber analysis, and handle the involutive (type
-B/C) variants by palindromic duplication of coordinates.
+label-forgetting map from the points of the permutohedral fan (SigmaA) and
+its degree-n! fiber analysis, and handle the involutive (type B/C) variants
+by palindromic duplication of coordinates.
 
 Polynomial coefficient lists are ascending: ``c[r]`` multiplies ``t**r``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exact_linalg import IntMatrix
 from .fields import Element, Field, PrimeField
@@ -30,7 +32,7 @@ from .orbit_points import (
     witness_units,
     _weights,
 )
-from .root_fans import FanFamily, build_upsilon
+from .root_fans import FanFamily, build_upsilon, sigma_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +424,80 @@ def point_from_polynomial(coeffs: Sequence, field: Field) -> ExtendedPoint:
 
 
 # ---------------------------------------------------------------------------
+# The forgetting map from the permutohedral fan
+# ---------------------------------------------------------------------------
+
+
+def _sigma_point_data(p: FanPoint) -> Tuple[int, List[FrozenSet[int]]]:
+    """n, and the subset I of each value w_I in p.coords: the SigmaA fan
+    orders its rays like sigma_subsets(n)."""
+    family = p.fan.family
+    if family is None or family.tag != "SigmaA":
+        raise ValueError("the forgetting map requires a point of the SigmaA fan")
+    return family.n, [frozenset(s) for s in sigma_subsets(family.n)]
+
+
+def sigma_section_values(p: FanPoint) -> List[Element]:
+    """The n section values x_i = prod_{I containing i} w_I (torus locus)."""
+    n, subsets = _sigma_point_data(p)
+    f = p.field
+    out = []
+    for i in range(1, n + 1):
+        v = f.one
+        for s, w in zip(subsets, p.coords):
+            if i in s:
+                v = f.mul(v, w)
+        out.append(v)
+    return out
+
+
+def sigma_forget(p: FanPoint) -> ExtendedPoint:
+    """Point-level label-forgetting map on a point of the SigmaA fan, whose
+    coordinates are the values w_I on the nonempty proper subsets I.
+
+    The section values are
+
+        a_j = sum_{|J|=j} prod_I w_I^(|J & I| - max(0, |I|+j-n)),
+        b_j = prod_{|J|=n-j} w_J,
+
+    indexed from the first pole of the chain.  The returned coefficient
+    tuple is the reversal (1, a_{n-1}, ..., a_1, 1) with twists reversed
+    likewise: this is the orientation of the polynomial normal form, whose
+    roots on the torus locus are the section values x_i = prod_{i in I} w_I
+    (the two orientations differ by the chain flip, which is not a torus
+    element).  Nondegeneracy of the output is guaranteed by the flag
+    condition on the input."""
+    n, subsets = _sigma_point_data(p)
+    f = p.field
+    if not is_nondegenerate(p.fan, p.coords, f):
+        raise ValueError("degenerate collection")
+    a = []
+    for j in range(1, n):
+        total = f.zero
+        for J in itertools.combinations(range(1, n + 1), j):
+            Jset = frozenset(J)
+            term = f.one
+            for s, w in zip(subsets, p.coords):
+                e = len(Jset & s) - max(0, len(s) + j - n)
+                if e < 0:
+                    raise RuntimeError("negative section exponent")
+                if e:
+                    term = f.mul(term, f.pow(w, e))
+            total = f.add(total, term)
+        a.append(total)
+    b = []
+    for j in range(1, n):
+        prod = f.one
+        for s, w in zip(subsets, p.coords):
+            if len(s) == n - j:
+                prod = f.mul(prod, w)
+        b.append(prod)
+    a.reverse()
+    b.reverse()
+    return ExtendedPoint(n, f, (f.one, *a, f.one), tuple(b))
+
+
+# ---------------------------------------------------------------------------
 # Fiber analysis of the label-forgetting map
 # ---------------------------------------------------------------------------
 
@@ -466,7 +542,7 @@ def fiber_profile_of_chain(chain: ChainModel) -> FiberProfile:
         profiles.append(profile)
         if sum(roots.values()) != deg:
             split = False
-        if any(m > 1 for m in roots.values()) or not is_squarefree(poly, f):
+        if not is_squarefree(poly, f):
             ramified = True
         mults.extend(roots.values())
     n = chain.total_degree
@@ -657,7 +733,6 @@ class InvolutiveChainModel:
     even-degree case."""
 
     base: ChainModel
-    palindromic: bool
     parity: Optional[str]
 
     def __post_init__(self):
@@ -686,4 +761,4 @@ def involutive_chain_from_point(p: FanPoint) -> InvolutiveChainModel:
         parity = None
     else:
         raise ValueError("expected a type-C or canonical type-B point")
-    return InvolutiveChainModel(chain, True, parity)
+    return InvolutiveChainModel(chain, parity)

@@ -1,6 +1,6 @@
 """Exact integer linear algebra: Hermite and Smith normal forms with
-certified unimodular transforms, integer kernels and cokernels, and the
-finite diagonalizable-group descriptors read off from invariant factors.
+certified unimodular transforms, integer cokernels, and the finite
+diagonalizable-group descriptors read off from invariant factors.
 
 One in-place row-Hermite loop, ``_hermite``, is the only unimodular
 elimination: ``hnf`` runs it on ``[A | I]`` and ``snf`` alternates it on
@@ -97,9 +97,6 @@ class IntMatrix:
         _, pivots, d, sign = bareiss(self.to_rows(), self.cols)
         return sign * d if len(pivots) == self.rows else 0
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
 
 @dataclass(frozen=True)
 class SmithForm:
@@ -159,9 +156,6 @@ class FinDiagGroupDesc:
         if not self.is_finite:
             return None
         return math.prod(self.torsion) if self.torsion else 1
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def to_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -293,18 +287,6 @@ def snf(A: IntMatrix) -> SmithForm:
         IntMatrix(A.rows, A.rows, tuple(x for row in u for x in row)),
         IntMatrix(A.cols, A.cols, tuple(row[i] for i in range(A.cols) for row in vt)),
     )
-
-
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel lattice of A, as matrix columns.
-
-    The basis is saturated (spans the full kernel lattice, not a finite-index
-    sublattice) because it is read off from a unimodular transform.
-    """
-    form = snf(A)
-    r = form.rank
-    entries = tuple(x for i in range(A.cols) for x in form.V.row(i)[r:])
-    return IntMatrix(A.cols, A.cols - r, entries)
 
 
 def cokernel(A: IntMatrix) -> FinDiagGroupDesc:

@@ -36,14 +36,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import add, sub
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .fields import Element, Field, QQ
-from .root_fans import StackyFan, build_sigma_A, sigma_subsets
+from .fields import QQ
+from .root_fans import sigma_subsets
 from .symbolic import Exponent, MultiPoly
-
-if TYPE_CHECKING:
-    from .chains import ExtendedPoint
 
 _DIM_GUARD = 6
 _CHART_GUARD = 2**14
@@ -485,116 +482,3 @@ def verify_a_data_cocycle(n: int, negative_control: bool = False) -> bool:
         if lhs != rhs:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Collections on the permutohedral fan and the forgetting map on points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SigmaPoint:
-    """A field-valued collection on the permutohedral fan: one value w_I per
-    nonempty proper subset I of {1..n}."""
-
-    n: int
-    field: Field
-    w: Tuple[Element, ...]  # ordered like sigma_subsets(n)
-
-    def __post_init__(self):
-        if len(self.w) != 2**self.n - 2:
-            raise ValueError("one value per nonempty proper subset required")
-
-    @staticmethod
-    def from_dict(n: int, field: Field, values: Dict[FrozenSet[int], object]) -> "SigmaPoint":
-        subsets = [frozenset(s) for s in sigma_subsets(n)]
-        if set(values) != set(subsets):
-            raise ValueError("values must be indexed by all proper nonempty subsets")
-        return SigmaPoint(n, field, tuple(field.of(values[s]) for s in subsets))
-
-    def value(self, subset: FrozenSet[int]) -> Element:
-        subsets = [frozenset(s) for s in sigma_subsets(self.n)]
-        return self.w[subsets.index(subset)]
-
-    def to_fan_point(self, fan: Optional[StackyFan] = None):
-        from .orbit_points import FanPoint
-
-        fan = fan or build_sigma_A(self.n)
-        return FanPoint(fan, self.field, self.w)
-
-    def is_nondegenerate(self) -> bool:
-        from .orbit_points import is_nondegenerate
-
-        fan = build_sigma_A(self.n)
-        return is_nondegenerate(fan, self.w, self.field)
-
-    def relabel(self, perm: Dict[int, int]) -> "SigmaPoint":
-        subsets = [frozenset(s) for s in sigma_subsets(self.n)]
-        index = {s: i for i, s in enumerate(subsets)}
-        new = [None] * len(subsets)
-        for s, val in zip(subsets, self.w):
-            target = frozenset(perm[i] for i in s)
-            new[index[target]] = val
-        return SigmaPoint(self.n, self.field, tuple(new))
-
-
-def sigma_section_values(sp: SigmaPoint) -> List[Element]:
-    """The n section values x_i = prod_{I containing i} w_I (torus locus)."""
-    f = sp.field
-    subsets = [frozenset(s) for s in sigma_subsets(sp.n)]
-    out = []
-    for i in range(1, sp.n + 1):
-        v = f.one
-        for s, w in zip(subsets, sp.w):
-            if i in s:
-                v = f.mul(v, w)
-        out.append(v)
-    return out
-
-
-def sigma_forget(sp: SigmaPoint) -> ExtendedPoint:
-    """Point-level label-forgetting map.
-
-    The section values are
-
-        a_j = sum_{|J|=j} prod_I w_I^(|J & I| - max(0, |I|+j-n)),
-        b_j = prod_{|J|=n-j} w_J,
-
-    indexed from the first pole of the chain.  The returned coefficient
-    tuple is the reversal (1, a_{n-1}, ..., a_1, 1) with twists reversed
-    likewise: this is the orientation of the polynomial normal form, whose
-    roots on the torus locus are the section values x_i = prod_{i in I} w_I
-    (the two orientations differ by the chain flip, which is not a torus
-    element).  Nondegeneracy of the output is guaranteed by the flag
-    condition on the input."""
-    from .chains import ExtendedPoint
-
-    if not sp.is_nondegenerate():
-        raise ValueError("degenerate collection")
-    f = sp.field
-    n = sp.n
-    subsets = [frozenset(s) for s in sigma_subsets(n)]
-    a = []
-    for j in range(1, n):
-        total = f.zero
-        for J in itertools.combinations(range(1, n + 1), j):
-            Jset = frozenset(J)
-            term = f.one
-            for s, w in zip(subsets, sp.w):
-                e = len(Jset & s) - max(0, len(s) + j - n)
-                if e < 0:
-                    raise RuntimeError("negative section exponent")
-                if e:
-                    term = f.mul(term, f.pow(w, e))
-            total = f.add(total, term)
-        a.append(total)
-    b = []
-    for j in range(1, n):
-        prod = f.one
-        for s, w in zip(subsets, sp.w):
-            if len(s) == n - j:
-                prod = f.mul(prod, w)
-        b.append(prod)
-    a.reverse()
-    b.reverse()
-    return ExtendedPoint(n, f, (f.one, *a, f.one), tuple(b))

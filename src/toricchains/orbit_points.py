@@ -215,9 +215,6 @@ def solve_units(
         return [field.one] * ngen
     A = IntMatrix.from_rows(rows)
     if isinstance(field, PrimeField):
-        if field.p == 2:
-            # F_2^* is trivial: solvable iff all targets are 1.
-            return [1] * ngen if all(t == 1 for t in targets) else None
         ctx = _dlog_context(field)
         b = [ctx.log(t) for t in targets]
         x = solve_mod(A, b, field.p - 1)
@@ -362,10 +359,6 @@ def _least_values(ctx: _DlogContext, basis: List[List[int]], logs: Sequence[int]
 def _least_unit(ctx: _DlogContext, residue: int, d: int) -> int:
     """The least unit whose discrete log is congruent to ``residue`` mod d."""
     p = ctx.field.p
-    if d == 1:
-        return 1
-    if d == p - 1:
-        return pow(ctx.g, residue, p)
     if d * d < p - 1:
         # A hit is expected within about d integers, fewer than the
         # (p-1)/d elements of the coset.

@@ -128,15 +128,15 @@ def _is_int_rows(value) -> bool:
 
 def fan_from_json(text: str) -> StackyFan:
     """Read the ``to_json`` format (``schemas/fan.schema.json``).  A missing
-    or unknown key, or an entry that is not an int (bools included) or a str
-    label, raises ValueError naming the key."""
+    or unknown key, an entry that is not an int (bools included) or a str
+    label, or a rank below 1, raises ValueError naming the key."""
     data = json.loads(text)
     if type(data) is not dict:
         raise ValueError("fan file: expected a JSON object")
     unknown = sorted(data.keys() - {"rank", "ray_labels", "rays", "max_cones"})
     if unknown:
         raise ValueError(f"fan file: unknown key {unknown[0]!r}")
-    rank = _json_entry(data, "rank", lambda v: type(v) is int, "an integer")
+    rank = _json_entry(data, "rank", lambda v: type(v) is int and v > 0, "a positive integer")
     rows = "a list of integer lists"
     rays = tuple(map(tuple, _json_entry(data, "rays", _is_int_rows, rows)))
     max_cones = tuple(map(tuple, _json_entry(data, "max_cones", _is_int_rows, rows)))

@@ -222,18 +222,6 @@ class RationalExpr:
     def const(field: Field, num_vars: int, value) -> "RationalExpr":
         return RationalExpr.from_poly(MultiPoly.const(field, num_vars, value))
 
-    @staticmethod
-    def monomial_quotient(
-        field: Field, num_vars: int, exponents: Sequence[int], coeff=1
-    ) -> "RationalExpr":
-        """x^e as a fraction, splitting negative exponents into the denominator."""
-        pos = [max(e, 0) for e in exponents]
-        neg = [max(-e, 0) for e in exponents]
-        return RationalExpr(
-            MultiPoly.monomial(field, pos, coeff),
-            MultiPoly.monomial(field, neg, 1),
-        )
-
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         return RationalExpr(
             self.num * other.den + other.num * self.den, self.den * other.den

@@ -122,7 +122,7 @@ def test_criterion_04_coarse_point_counts():
 
 
 def _free_coarse_count(fan, q: int) -> int:
-    from toricchains.exact_linalg import IntMatrix, cokernel
+    from toricchains.exact_linalg import FinDiagGroupDesc, IntMatrix, cokernel
     from toricchains.root_fans import fan_faces, weight_matrix
 
     w = weight_matrix(fan)
@@ -132,7 +132,7 @@ def _free_coarse_count(fan, q: int) -> int:
         cols = IntMatrix.from_rows(
             [[w[k, r] for r in support] for k in range(w.rows)]
         )
-        if cokernel(cols).is_trivial():
+        if cokernel(cols) == FinDiagGroupDesc(0, ()):
             total += (q - 1) ** (fan.rank - len(face))
     return total
 

@@ -20,6 +20,7 @@ from toricchains.chains import (
     extended_from_standard,
     extended_weight_matrix,
     fiber_profile,
+    fiber_profile_of_chain,
     involutive_chain_from_point,
     involutive_fiber_profile,
     involutive_polynomial,
@@ -235,6 +236,18 @@ class TestFiberProfile:
         assert prof.rational_ordered_preimages == 1
         assert prof.is_ramified
         assert prof.multiplicity_profile == ((2,),)
+
+    @pytest.mark.parametrize(
+        "poly, profile",
+        [(poly_from_roots([F7.of(r) for r in (2, 2, 3)], F7), ((1, 2),)),
+         ([F7.of(c) for c in (1, 0, 2, 0, 1)], ((),))],
+        ids=["repeated-unit-root", "repeated-non-unit-factor"],
+    )
+    def test_repeated_factor_is_ramified(self, poly, profile):
+        # (t - 2)^2 (t - 3), and (t^2 + 1)^2, which has no root in F_7
+        chain = ChainModel(F7, len(poly) - 1, (len(poly) - 1,), (tuple(poly),))
+        prof = fiber_profile_of_chain(chain)
+        assert prof.is_ramified and prof.multiplicity_profile == profile
 
     def test_reducible_two_labels(self):
         prof = fiber_profile(make_point(A1, F7, [1, 0]))

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,22 @@ def run_subprocess(argv, hash_seed, timeout=60):
         [sys.executable, "-m", "toricchains.cli", *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=timeout,
     )
+
+
+def _fan_file_edit(key, value):
+    """The A_2 fan file with ``key`` set to ``value``, or dropped for None."""
+    data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    return json.dumps(data)
+
+
+def _rayless_fan_file(rank):
+    """A fan with no rays: it loads at every positive rank, so only the rank
+    can make it fail."""
+    return json.dumps({"rank": rank, "ray_labels": [], "rays": [], "max_cones": []})
 
 
 class TestFanCommands:
@@ -84,17 +101,22 @@ class TestFanCommands:
         ids=["missing-key", "not-a-list", "int-labels", "unknown-key"],
     )
     def test_malformed_fan_file_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
-        data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
-        if value is None:
-            del data[key]
-        else:
-            data[key] = value
         path = tmp_path / "fan.json"
-        path.write_text(json.dumps(data))
+        path.write_text(_fan_file_edit(key, value))
         code = main(["fan", "check", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: fan file:") and repr(key) in captured.err
+
+    @pytest.mark.parametrize("rank", [-1, 0])
+    def test_fan_file_of_rank_below_one_exits_2(self, tmp_path, capsys, rank):
+        path = tmp_path / "fan.json"
+        path.write_text(_rayless_fan_file(rank))
+        for argv in (["fan", "check", str(path)], ["point", "count", "--fan", str(path), "--q", "3"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: fan file: key 'rank' must be a positive integer\n"
 
     def test_an_assertion_in_a_handler_exits_3(self, monkeypatch, capsys):
         def broken(fan):
@@ -276,6 +298,10 @@ JSON_COMMANDS = (
     ("verify all --n 8 --json", "verify_report"),
 )
 
+# The sha256 of each command's stdout.  A change that alters an output
+# updates its digest and says why.
+CLI_DIGESTS = json.loads((ROOT / "tests" / "cli_digests.json").read_text())
+
 # Ids are the subcommand; a repeated subcommand at its largest size is
 # named by that size.
 JSON_IDS = {
@@ -311,7 +337,8 @@ def _subparsers(parser):
 )
 def test_point_json_matches_schema_and_reruns_byte_identical(command, schema_name):
     """Every listed --json command (point, fan, chain, polytope and verify) in
-    two fresh interpreters: stdout byte-identical and valid against its schema."""
+    two fresh interpreters: stdout byte-identical, with the digest recorded in
+    cli_digests.json, and valid against its schema."""
     schema = json.loads((ROOT / "schemas" / f"{schema_name}.schema.json").read_text())
     outs = []
     for hash_seed in (0, 1):
@@ -319,7 +346,44 @@ def test_point_json_matches_schema_and_reruns_byte_identical(command, schema_nam
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == CLI_DIGESTS[command]
     jsonschema.validate(json.loads(outs[0]), schema)
+
+
+SCHEMA_REJECTED_FAN_FILES = {
+    **{f"missing-{key}": _fan_file_edit(key, None)
+       for key in ("rank", "ray_labels", "rays", "max_cones")},
+    "unknown-key": _fan_file_edit("extra", 1),
+    **{f"rank-{rank}": _rayless_fan_file(rank) for rank in (-1, 0, True, 1.5)},
+    "string-ray-entry": _fan_file_edit("rays", [[-2, 1], [1, -2], [1, 0], [0, "1"]]),
+    "string-cone-entry": _fan_file_edit("max_cones", [[0, "1"], [1, 2], [2, 3], [0, 3]]),
+    "flat-rays": _fan_file_edit("rays", [-2, 1, 1, -2, 1, 0, 0, 1]),
+    "dict-cones": _fan_file_edit("max_cones", {"0": [0, 1]}),
+    "int-labels": _fan_file_edit("ray_labels", [1, 2, 3, 4]),
+    "top-level-list": "[]",
+}
+
+
+class TestFanFileSchema:
+    """The loader and ``schemas/fan.schema.json`` agree on fan files."""
+
+    SCHEMA = json.loads((ROOT / "schemas" / "fan.schema.json").read_text())
+
+    @pytest.mark.parametrize("text", SCHEMA_REJECTED_FAN_FILES.values(),
+                             ids=SCHEMA_REJECTED_FAN_FILES.keys())
+    def test_a_file_the_schema_rejects_does_not_load(self, text):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(json.loads(text), self.SCHEMA)
+        with pytest.raises(ValueError):
+            root_fans.fan_from_json(text)
+
+    @pytest.mark.parametrize("family", root_fans.FAMILY_TAGS)
+    def test_a_built_file_validates_and_loads(self, tmp_path, capsys, family):
+        path = tmp_path / "fan.json"
+        code, _ = run(capsys, "fan", "build", "--family", family, "--n", "3", "--out", str(path))
+        assert code == 0
+        jsonschema.validate(json.loads(path.read_text()), self.SCHEMA)
+        assert root_fans.fan_from_json(path.read_text()).family == FanFamily(family, 3)
 
 
 class TestChainCommands:

@@ -13,11 +13,12 @@ from toricchains.chains import (
     orbit_equal_extended,
     point_from_polynomial,
     poly_from_roots,
+    sigma_forget,
+    sigma_section_values,
 )
 from toricchains.fields import GF, QQ
 from toricchains.losev_manin import (
     LatticePolytope,
-    SigmaPoint,
     chart_certificate,
     chart_data,
     chart_section,
@@ -29,15 +30,14 @@ from toricchains.losev_manin import (
     root_segment,
     s_n_generators,
     section_numerators,
-    sigma_forget,
-    sigma_section_values,
     verify_a_data_cocycle,
     verify_cd_disjoint,
     verify_divisor_relation,
     verify_minkowski,
     verify_section_hyperplane,
 )
-from toricchains.root_fans import build_sigma_A, sigma_subsets
+from toricchains.orbit_points import FanPoint, is_nondegenerate, make_point, orbit_equal
+from toricchains.root_fans import FanFamily, build_sigma_A, build_upsilon, sigma_subsets
 from toricchains.symbolic import MultiPoly, RationalExpr
 
 F11 = GF(11)
@@ -241,7 +241,12 @@ def section_hyperplane_oracle(n, flip_signs=False):
                     exp[sigma[l - 1] - 1] += 1
                 for l in range(1, i + 1):
                     exp[sigma[l - 1] - 1] -= 1
-                term = sections[k] * RationalExpr.monomial_quotient(QQ, n, exp)
+                # x^exp as a fraction, the negative exponents below the line
+                monomial = RationalExpr(
+                    MultiPoly.monomial(QQ, [max(e, 0) for e in exp]),
+                    MultiPoly.monomial(QQ, [max(-e, 0) for e in exp]),
+                )
+                term = sections[k] * monomial
                 if not flip_signs and k % 2:
                     term = -term
                 total = total + term
@@ -583,30 +588,48 @@ class TestIdentities:
         assert not verify_a_data_cocycle(3, negative_control=True)
 
 
+def _sigma_point(n, field, values):
+    """The point of the SigmaA fan with the value values[I] on the ray of I."""
+    return make_point(build_sigma_A(n), field, [values[frozenset(s)] for s in sigma_subsets(n)])
+
+
+def _relabel(p, perm):
+    """The S_n action on a point of the SigmaA fan: the value on the ray of I
+    moves to the ray of perm(I)."""
+    subsets = [frozenset(s) for s in sigma_subsets(p.fan.family.n)]
+    index = {s: i for i, s in enumerate(subsets)}
+    new = [None] * len(subsets)
+    for s, val in zip(subsets, p.coords):
+        new[index[frozenset(perm[i] for i in s)]] = val
+    return FanPoint(p.fan, p.field, tuple(new))
+
+
 class TestSigmaForget:
     def test_all_ones(self):
         n = 3
         subsets = sigma_subsets(n)
-        sp = SigmaPoint.from_dict(n, F11, {frozenset(s): 1 for s in subsets})
-        e = sigma_forget(sp)
+        e = sigma_forget(_sigma_point(n, F11, {frozenset(s): 1 for s in subsets}))
         assert e.c == (1, 3, 3, 1)  # binomial coefficients
         assert e.b == (1, 1)
 
     def test_n2_weighted_map(self):
-        sp = SigmaPoint.from_dict(
-            2, QQ, {frozenset({1}): Fraction(5), frozenset({2}): Fraction(7)}
-        )
-        e = sigma_forget(sp)
+        p = _sigma_point(2, QQ, {frozenset({1}): Fraction(5), frozenset({2}): Fraction(7)})
+        e = sigma_forget(p)
         assert e.c == (Fraction(1), Fraction(12), Fraction(1))
         assert e.b == (Fraction(35),)
 
     def test_degenerate_rejected(self):
         n = 3
-        subsets = sigma_subsets(n)
-        values = {frozenset(s): 0 for s in subsets}
-        sp = SigmaPoint.from_dict(n, F11, values)
-        with pytest.raises(ValueError):
-            sigma_forget(sp)
+        fan = build_sigma_A(n)
+        p = FanPoint(fan, F11, (F11.zero,) * fan.num_rays)
+        with pytest.raises(ValueError, match="degenerate collection"):
+            sigma_forget(p)
+
+    def test_other_fans_rejected(self):
+        p = make_point(build_upsilon(FanFamily("A", 2)), F11, [1, 1, 1, 1])
+        for forget in (sigma_forget, sigma_section_values):
+            with pytest.raises(ValueError, match="a point of the SigmaA fan"):
+                forget(p)
 
     def test_torus_consistency_oracle(self):
         # on the torus locus the image agrees with the polynomial whose
@@ -615,11 +638,9 @@ class TestSigmaForget:
         for _ in range(25):
             n = 3
             subsets = sigma_subsets(n)
-            sp = SigmaPoint.from_dict(
-                n, F11, {frozenset(s): rng.randint(1, 10) for s in subsets}
-            )
-            e = sigma_forget(sp)
-            xs = sigma_section_values(sp)
+            p = _sigma_point(n, F11, {frozenset(s): rng.randint(1, 10) for s in subsets})
+            e = sigma_forget(p)
+            xs = sigma_section_values(p)
             e2 = point_from_polynomial(poly_from_roots(xs, F11), F11)
             assert orbit_equal_extended(e, e2)
 
@@ -627,16 +648,14 @@ class TestSigmaForget:
         # permuting the label set fixes the image exactly, hence up to orbit
         rng = random.Random(10)
         n = 3
-        subsets = sigma_subsets(n)
+        fan = build_sigma_A(n)
         for _ in range(15):
-            sp = SigmaPoint.from_dict(
-                n, F11, {frozenset(s): rng.randint(0, 10) for s in subsets}
-            )
-            if not sp.is_nondegenerate():
+            p = FanPoint(fan, F11, tuple(F11.of(rng.randint(0, 10)) for _ in sigma_subsets(n)))
+            if not is_nondegenerate(p.fan, p.coords, p.field):
                 continue
             for perm in itertools.permutations(range(1, n + 1)):
-                relabeled = sp.relabel({i + 1: perm[i] for i in range(n)})
-                e1, e2 = sigma_forget(sp), sigma_forget(relabeled)
+                relabeled = _relabel(p, {i + 1: perm[i] for i in range(n)})
+                e1, e2 = sigma_forget(p), sigma_forget(relabeled)
                 assert e1.c == e2.c and e1.b == e2.b
                 assert orbit_equal_extended(e1, e2)
 
@@ -647,37 +666,33 @@ class TestSigmaForget:
         values = {frozenset(s): 1 for s in subsets}
         values[frozenset({1})] = 0
         values[frozenset({1, 2})] = 0
-        sp = SigmaPoint.from_dict(n, F11, values)
-        assert sp.is_nondegenerate()
-        e = sigma_forget(sp)  # constructor validates nondegeneracy
+        p = _sigma_point(n, F11, values)
+        assert is_nondegenerate(p.fan, p.coords, p.field)
+        e = sigma_forget(p)  # constructor validates nondegeneracy
         std = e.to_standard()
         assert std.fan.family.tag == "A"
 
     def test_fan_point_view(self):
+        # sigma_forget reads the value w_I off the ray of I: the rays of the
+        # SigmaA fan are the vectors sum_{i in I} e_i, e_n = -(e_1 + ... +
+        # e_{n-1}), in sigma_subsets order
         n = 3
-        subsets = sigma_subsets(n)
-        sp = SigmaPoint.from_dict(n, F11, {frozenset(s): 1 for s in subsets})
-        fp = sp.to_fan_point()
-        assert fp.fan.rays == build_sigma_A(n).rays
+        e = [(1, 0), (0, 1), (-1, -1)]
+        rays = [tuple(map(sum, zip(*(e[i - 1] for i in s)))) for s in sigma_subsets(n)]
+        assert list(build_sigma_A(n).rays) == rays
 
     def test_chart_values_match_forgetting_image(self):
         # Numerically tie three descriptions together on the torus locus:
         # the chart sections evaluated at t_i = x_{i+1}/x_i equal the ratios
         # (sum_{|I|=j} x_I)/x_{1..j}, and the (flipped) tuple of those chart
         # values is the forgetting image of the collection.
-        import math
-        from toricchains.orbit_points import make_point, orbit_equal
-        from toricchains.root_fans import FanFamily, build_upsilon
-
         rng = random.Random(14)
         for n in (3, 4):
             subsets = sigma_subsets(n)
             fan = build_upsilon(FanFamily("A", n - 1))
             for _ in range(10):
-                sp = SigmaPoint.from_dict(
-                    n, F11, {frozenset(s): rng.randint(1, 10) for s in subsets}
-                )
-                xs = sigma_section_values(sp)
+                p = _sigma_point(n, F11, {frozenset(s): rng.randint(1, 10) for s in subsets})
+                xs = sigma_section_values(p)
                 ts = [F11.div(xs[i + 1], xs[i]) for i in range(n - 1)]
                 chart_a = []
                 for j in range(1, n):
@@ -701,6 +716,5 @@ class TestSigmaForget:
                     chart_a.append(val)
                 chart_b = ts
                 flipped = list(reversed(chart_a)) + list(reversed(chart_b))
-                p = make_point(fan, F11, flipped)
-                q = sigma_forget(sp).to_standard()
-                assert orbit_equal(p, q)
+                q = sigma_forget(p).to_standard()
+                assert orbit_equal(make_point(fan, F11, flipped), q)

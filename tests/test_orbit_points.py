@@ -194,6 +194,14 @@ class TestOrbitEqual:
         p = make_point(A1, F7, [1, 1])
         assert not orbit_equal(p, make_point(A1, F7, [0, 1]))
 
+    def test_over_f2_the_orbit_is_the_point(self):
+        # F_2^* is trivial, so two points share an orbit exactly when equal
+        F2 = GF(2)
+        for fan in (A1, A2, C2):
+            pts = list(_nondeg_points(fan, F2))
+            for p, q in itertools.product(pts, repeat=2):
+                assert orbit_equal(p, q) == (p.coords == q.coords)
+
     def test_equivalence_relation_exhaustive(self):
         # full boolean relation matrix: reflexive, symmetric, transitive
         for fan, field in ((A1, F3), (A1, F5), (A2, F3)):
@@ -323,6 +331,17 @@ class TestCanonicalForm:
             canonical_form(make_point(A1, GF(1000003), [1, 2]))
 
 
+class TestLeastUnit:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101])
+    def test_matches_brute_force(self, p):
+        # the least v with log v = residue (mod d), for every d | p - 1
+        ctx = orbit_points._dlog_context(GF(p))
+        for d in (d for d in range(1, p) if (p - 1) % d == 0):
+            for residue in range(d):
+                least = min(v for v in range(1, p) if ctx.log(v) % d == residue)
+                assert orbit_points._least_unit(ctx, residue, d) == least
+
+
 class TestStabilizer:
     def test_mu_n_at_deep_stratum(self):
         for n in range(2, 9):
@@ -337,14 +356,14 @@ class TestStabilizer:
         assert stabilizer(make_point(A2, F7, [1, 0, 0, 1])).torsion == (2,)
 
     def test_generic_point_trivial(self):
-        assert stabilizer(make_point(A2, F7, [1, 1, 1, 1])).is_trivial()
+        assert stabilizer(make_point(A2, F7, [1, 1, 1, 1])) == FinDiagGroupDesc(0, ())
 
     def test_c2_strata(self):
         # labeled strata of the rank-2 type-C fan all carry mu_2
         for coords in ((0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 1)):
             assert stabilizer(make_point(C2, F7, coords)).torsion == (2,)
         for coords in ((1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0), (1, 1, 0, 0)):
-            assert stabilizer(make_point(C2, F7, coords)).is_trivial()
+            assert stabilizer(make_point(C2, F7, coords)) == FinDiagGroupDesc(0, ())
 
     def test_field_independent(self):
         for field in (F3, F7, QQ):
@@ -382,7 +401,7 @@ class TestStabilizer:
             factors = invariant_factors(sympy.Matrix([fan.rays[r] for r in face]))
             torsion = tuple(abs(int(x)) for x in factors if abs(int(x)) > 1)
             assert stabilizer(_point_with_zero_set(fan, face)) == FinDiagGroupDesc(0, torsion)
-        assert stabilizer(_point_with_zero_set(fan, ())).is_trivial()
+        assert stabilizer(_point_with_zero_set(fan, ())) == FinDiagGroupDesc(0, ())
 
     def test_invariant_along_orbit(self):
         rng = random.Random(6)
@@ -465,7 +484,7 @@ class TestEnumerate:
         free = sum(1 for _, order in orbits if order == 1)
         expected = 0
         for face in fan_faces(A2):
-            if _weight_side_stabilizer(_point_with_zero_set(A2, face)).is_trivial():
+            if _weight_side_stabilizer(_point_with_zero_set(A2, face)) == FinDiagGroupDesc(0, ()):
                 expected += (q - 1) ** (A2.rank - len(face))
         assert free == expected == 13
 

@@ -897,10 +897,13 @@ class TestJson:
             ("max_cones", [[0, 1.0], [1, 2], [2, 3], [0, 3]]),
             ("rank", 2.0),
             ("rank", True),
+            ("rank", 0),
+            ("rank", -1),
             ("ray_labels", ["a", "b", "c", 4]),
         ],
         ids=["rays-int", "rays-flat", "cones-dict", "labels-str", "float-1.9", "bool-true",
-             "string-1", "float-index", "float-rank", "bool-rank", "int-label"],
+             "string-1", "float-index", "float-rank", "bool-rank", "zero-rank", "negative-rank",
+             "int-label"],
     )
     def test_entry_of_the_wrong_type_is_named(self, key, value):
         data = json.loads(build_upsilon(FanFamily("A", 2)).to_json())
