@@ -471,9 +471,17 @@ def check_fan(fan: StackyFan) -> FanReport:
     return _certify(fan)[0]
 
 
-def _certify(fan: StackyFan) -> Tuple[FanReport, dict, Optional[List[int]]]:
-    """:func:`check_fan`'s report, each maximal cone's inequalities (None for
-    dependent rays) and its point x (None unless the wall condition holds)."""
+def _sign_at_x(u: Sequence[int]) -> int:
+    """The sign of u.x at x = (1, M, M**2, ...) with M one past every |u_i|:
+    the terms below u's last nonzero entry u_m add up to at most
+    max|u_i| (M**m - 1) / (M - 1) < M**m in absolute value, so u.x has the
+    sign of u_m.  So x lies on no hyperplane of a nonzero functional."""
+    return next((1 if a > 0 else -1 for a in reversed(u) if a), 0)
+
+
+def _certify(fan: StackyFan) -> Tuple[FanReport, dict]:
+    """:func:`check_fan`'s report and each maximal cone's inequalities (None
+    for dependent rays)."""
     walls, by_cone = _walk(fan)
     functionals = {cone: f and f[0] for cone, f in by_cone.items()}
     simplicial = all(f is not None for f in functionals.values())
@@ -489,32 +497,29 @@ def _certify(fan: StackyFan) -> Tuple[FanReport, dict, Optional[List[int]]]:
         len(sides) == 2 and opposite(sides) for sides in walls.values()
     )
 
-    complete, x = False, None
+    complete = False
     if wall:
-        # A facet functional u is nonzero, so sum(u_i * M**i) is a nonzero
-        # integer polynomial in M; by Cauchy's bound its roots have absolute
-        # value below 1 + max|u_i|.  So x = (1, M, M**2, ...) with M one past
-        # every |u_i| lies on no facet hyperplane.
-        M = 1 + max((max(map(abs, u)) for us in functionals.values() for u in us), default=0)
-        x = [M**i for i in range(fan.rank)]
-        inside = sum(all(_dot(u, x) > 0 for u in us) for us in functionals.values())
+        # The facet functionals are nonzero, so x = (1, M, M**2, ...) with M
+        # past every |u_i| lies on no facet hyperplane (_sign_at_x), and a
+        # cone holds x when every functional has a positive last nonzero entry.
+        inside = sum(all(_sign_at_x(u) > 0 for u in us) for us in functionals.values())
         complete = inside == 1
-    return FanReport(simplicial, pure, wall, complete), functionals, x
+    return FanReport(simplicial, pure, wall, complete), functionals
 
 
 @lru_cache(maxsize=None)
 def face_partition(fan: StackyFan) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
     """``{sigma: R(sigma)}``, R(sigma) the rays of sigma whose inequality is
-    negative at the x of :func:`check_fan`.  As x lies on no facet
-    hyperplane, each face F lies in exactly one interval [R(sigma), sigma],
-    the one whose sigma holds F + eps x; the sizes |R(sigma)| count the
-    h-vector (Fulton, *Introduction to Toric Varieties*, 1993, 5.2).
-    Raises ValueError unless the certificate passes."""
-    report, functionals, x = _certify(fan)
+    negative at the x of :func:`check_fan` (:func:`_sign_at_x`).  As x lies
+    on no facet hyperplane, each face F lies in exactly one interval
+    [R(sigma), sigma], the one whose sigma holds F + eps x; the sizes
+    |R(sigma)| count the h-vector (Fulton, *Introduction to Toric
+    Varieties*, 1993, 5.2).  Raises ValueError unless the certificate passes."""
+    report, functionals = _certify(fan)
     if not report.all_ok:
         raise ValueError("faces and point counts require a verified complete fan")
     return {
-        cone: tuple(r for r, u in zip(cone, us) if _dot(u, x) < 0)
+        cone: tuple(r for r, u in zip(cone, us) if _sign_at_x(u) < 0)
         for cone, us in functionals.items()
     }
 

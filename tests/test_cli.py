@@ -377,6 +377,14 @@ class TestFanFileSchema:
         with pytest.raises(ValueError):
             root_fans.fan_from_json(text)
 
+    def test_an_integral_float_validates_but_does_not_load(self):
+        # The one known disagreement: JSON Schema counts 2.0 as an integer,
+        # and the loader refuses it, as the schema's descriptions say.
+        text = json.dumps({"rank": 2.0, "ray_labels": [], "rays": [[1.0, 0]], "max_cones": []})
+        jsonschema.validate(json.loads(text), self.SCHEMA)
+        with pytest.raises(ValueError, match="'rank'"):
+            root_fans.fan_from_json(text)
+
     @pytest.mark.parametrize("family", root_fans.FAMILY_TAGS)
     def test_a_built_file_validates_and_loads(self, tmp_path, capsys, family):
         path = tmp_path / "fan.json"

@@ -16,6 +16,7 @@ from toricchains.chains import (
     sigma_forget,
     sigma_section_values,
 )
+from toricchains import losev_manin
 from toricchains.fields import GF, QQ
 from toricchains.losev_manin import (
     LatticePolytope,
@@ -252,6 +253,63 @@ def section_hyperplane_oracle(n, flip_signs=False):
                 total = total + term
             if not total.is_zero():
                 return False
+    return True
+
+
+def min_intersection_oracle(n, J, k):
+    """min over |I| = k of |I & J|, by direct enumeration."""
+    if k == 0:
+        return 0
+    if k == n:
+        return len(J)
+    return min(len(J & frozenset(I)) for I in itertools.combinations(range(1, n + 1), k))
+
+
+def divisor_relation_oracle(n, negative_control=False):
+    """verify_divisor_relation on every ray subset J, ord_J by enumeration,
+    with the closed form of its second difference asserted alongside."""
+    for size in range(1, n):
+        for J in itertools.combinations(range(1, n + 1), size):
+            J = frozenset(J)
+            for j in range(1, n):
+                lhs = (
+                    min_intersection_oracle(n, J, j - 1)
+                    + min_intersection_oracle(n, J, j + 1)
+                    - 2 * min_intersection_oracle(n, J, j)
+                )
+                d = j + size - n
+                if lhs != max(0, d - 1) + max(0, d + 1) - 2 * max(0, d):
+                    return False
+                target = size == n - j + (1 if negative_control else 0)
+                if lhs != (1 if target else 0):
+                    return False
+    return True
+
+
+def cocycle_oracle(n, negative_control=False):
+    """verify_a_data_cocycle with t_{ij} listed as a dict over all 2^n - 2
+    subsets and the products merged dict by dict."""
+    subsets = [frozenset(s) for s in sigma_subsets(n)]
+
+    def t(i, j):
+        return {I: 1 for I in subsets if i in I and j not in I}
+
+    def merge(*dicts):
+        out = {}
+        for d in dicts:
+            for key, e in d.items():
+                out[key] = out.get(key, 0) + e
+        return {k: v for k, v in out.items() if v}
+
+    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+        if negative_control:
+            lhs = merge(t(i, j), t(j, k), t(i, k))
+            rhs = merge(t(j, i), t(k, j), t(k, i))
+        else:
+            lhs = merge(t(i, j), t(j, k), t(k, i))
+            rhs = merge(t(j, i), t(k, j), t(i, k))
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -570,6 +628,33 @@ class TestIdentities:
         for n in range(2, 7):
             assert verify_divisor_relation(n)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_min_intersection_closed_form(self, n):
+        for size in range(n + 1):
+            for J in itertools.combinations(range(1, n + 1), size):
+                for k in range(n + 1):
+                    expected = min_intersection_oracle(n, frozenset(J), k)
+                    assert losev_manin._min_intersection_size(n, size, k) == expected
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_off_by_one_closed_form_disagrees(self, n, monkeypatch):
+        def shifted(n, size, k):
+            return max(0, k + size - n + 1)
+
+        assert any(
+            shifted(n, size, k) != min_intersection_oracle(n, frozenset(range(1, size + 1)), k)
+            for size in range(n + 1) for k in range(n + 1)
+        )
+        monkeypatch.setattr(losev_manin, "_min_intersection_size", shifted)
+        assert not verify_divisor_relation(n)
+
+    @pytest.mark.parametrize("negative_control", [False, True])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_divisor_relation_matches_oracle(self, n, negative_control):
+        expected = not negative_control
+        assert verify_divisor_relation(n, negative_control) is expected
+        assert divisor_relation_oracle(n, negative_control) is expected
+
     def test_divisor_relation_negative(self):
         assert not verify_divisor_relation(3, negative_control=True)
 
@@ -586,6 +671,40 @@ class TestIdentities:
 
     def test_cocycle_negative(self):
         assert not verify_a_data_cocycle(3, negative_control=True)
+
+    @pytest.mark.parametrize("negative_control", [False, True])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_cocycle_matches_oracle(self, n, negative_control):
+        expected = not negative_control
+        assert verify_a_data_cocycle(n, negative_control) is expected
+        assert cocycle_oracle(n, negative_control) is expected
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_traces_are_the_enumerated_traces(self, n):
+        for triple in itertools.permutations(range(1, n + 1), 3):
+            traces = {tuple(int(v in I) for v in triple) for I in sigma_subsets(n)}
+            assert traces == set(losev_manin._cocycle_traces(n)), triple
+
+    def test_trace_set_decides_the_negative_control(self, monkeypatch):
+        # The control's sides differ exactly on the traces that split i from
+        # k.  Without all four of them the control passes; any one of them
+        # left in, (1, 0, 0) included, makes it fail.
+        split = {(1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)}
+        full = losev_manin._cocycle_traces(4)
+        monkeypatch.setattr(losev_manin, "_cocycle_traces",
+                            lambda n: [p for p in full if p not in split])
+        assert verify_a_data_cocycle(4, negative_control=True)
+        for kept in split:
+            monkeypatch.setattr(losev_manin, "_cocycle_traces",
+                                lambda n, kept=kept: [p for p in full if p not in split - {kept}])
+            assert not verify_a_data_cocycle(4, negative_control=True), kept
+
+    def test_certificates_beyond_the_oracle(self):
+        # Sizes whose enumeration would list 2^40 and 2^12 subsets per step.
+        assert verify_divisor_relation(40)
+        assert not verify_divisor_relation(40, negative_control=True)
+        assert verify_a_data_cocycle(12)
+        assert not verify_a_data_cocycle(12, negative_control=True)
 
 
 def _sigma_point(n, field, values):

@@ -33,6 +33,7 @@ from toricchains.root_fans import (
     _dot,
     _facet_functionals,
     _in_cone,
+    _sign_at_x,
     _walk,
 )
 
@@ -549,6 +550,23 @@ class TestWallWalk:
         assert check_fan(_a2_with([(0, 1, 2)])) == FanReport(False, False, False, False)
         assert check_fan(_EXCHANGE_DEPENDENT) == FanReport(False, True, False, False)
         assert check_fan(_TWO_PIECES) == FanReport(True, True, False, False)
+
+    def test_sign_rule_matches_the_cauchy_point(self):
+        # The sign of a functional's last nonzero entry is the sign of its
+        # value at x = (1, M, M**2, ...), M one past every entry of the fan's
+        # functionals; the first nonzero entry's sign is not.
+        fans = [_family_fan(t, n) for t, n in WALK_FANS] + list(NEGATIVE_CONTROLS.values())
+        first_differs = False
+        for fan in fans:
+            us = [u for f in per_cone_functionals(fan).values() if f for u in f[0]]
+            M = 1 + max((abs(a) for u in us for a in u), default=0)
+            x = [M**i for i in range(fan.rank)]
+            for u in us:
+                value = _dot(u, x)
+                assert _sign_at_x(u) == (value > 0) - (value < 0) != 0, (fan.max_cones, u)
+                first = next(a for a in u if a)
+                first_differs |= (first > 0) != (value > 0)
+        assert first_differs
 
     def test_dependent_cone_reached_by_exchange(self, monkeypatch):
         seeds = _record_seeds(monkeypatch)
