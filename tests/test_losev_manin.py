@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricchains import losev_manin
 from toricchains.chains import (
     orbit_equal_extended,
     point_from_polynomial,
@@ -16,7 +17,6 @@ from toricchains.chains import (
     sigma_forget,
     sigma_section_values,
 )
-from toricchains import losev_manin
 from toricchains.fields import GF, QQ
 from toricchains.losev_manin import (
     LatticePolytope,
@@ -700,7 +700,8 @@ class TestIdentities:
             assert not verify_a_data_cocycle(4, negative_control=True), kept
 
     def test_certificates_beyond_the_oracle(self):
-        # Sizes whose enumeration would list 2^40 and 2^12 subsets per step.
+        # Sizes past the oracles' reach: 2^40 - 2 ray subsets J, and six
+        # subset dicts of 4094 entries for each of 1320 triples.
         assert verify_divisor_relation(40)
         assert not verify_divisor_relation(40, negative_control=True)
         assert verify_a_data_cocycle(12)
