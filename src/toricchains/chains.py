@@ -29,7 +29,6 @@ from .orbit_points import (
     make_point,
     scale_by_characters,
     solve_units,
-    witness_units,
     _weights,
 )
 from .root_fans import FanFamily, build_upsilon, sigma_subsets
@@ -355,8 +354,12 @@ def orbit_equal_extended(p: ExtendedPoint, q: ExtendedPoint) -> bool:
     """Orbit equality for extended points under the rank-(n+1) torus."""
     if p.n != q.n or p.field != q.field:
         raise ValueError("extended points are not comparable")
-    w = extended_weight_matrix(p.n)
-    return witness_units(w, p.coords(), q.coords(), p.field) is not None
+    f, w, pc, qc = p.field, extended_weight_matrix(p.n), p.coords(), q.coords()
+    support = [r for r, c in enumerate(pc) if not f.is_zero(c)]
+    if support != [r for r, c in enumerate(qc) if not f.is_zero(c)]:
+        return False
+    targets = [f.div(qc[r], pc[r]) for r in support]
+    return solve_units([w.col(r) for r in support], targets, f) is not None
 
 
 def _nth_roots(value: Element, n: int, field: Field) -> List[Element]:
@@ -705,26 +708,17 @@ def _reversal_related(p: Sequence[Element], q: Sequence[Element], field: Field) 
     """True iff q(t) = u * rev(p)(v t) for some units u, v.
 
     This is projective equivalence of the two component subschemes after the
-    chain flip; the units are recovered exactly (no field extensions)."""
+    chain flip: one :func:`solve_units` call on u * v^r = q_r / rev_r over
+    the nonzero positions r, so the units are found exactly (no field
+    extensions)."""
     if len(p) != len(q):
         return False
     rev = list(reversed(list(p)))
     if any(field.is_zero(a) != field.is_zero(b) for a, b in zip(rev, q)):
         return False
-    u = field.div(q[0], rev[0])
-    constraints = []  # v^r = t_r for each nonzero position r >= 1
-    for r in range(1, len(q)):
-        if field.is_zero(rev[r]):
-            continue
-        constraints.append((r, field.div(q[r], field.mul(u, rev[r]))))
-    if not constraints:
-        return True
-    # Every solution v is among the r-th roots of t_r, for any one constraint.
-    r0, t0 = constraints[0]
-    return any(
-        all(field.pow(w, r) == t for r, t in constraints)
-        for w in _nth_roots(t0, r0, field)
-    )
+    nonzero = [r for r in range(len(q)) if not field.is_zero(rev[r])]
+    targets = [field.div(q[r], rev[r]) for r in nonzero]
+    return solve_units([[1, r] for r in nonzero], targets, field) is not None
 
 
 @dataclass(frozen=True)

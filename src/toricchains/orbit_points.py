@@ -1,23 +1,23 @@
 """Field-valued points of the toric orbifolds and the torus action on them.
 
 A point is one field element per ray, subject to the nondegeneracy condition
-that the zero coordinates fit inside a single cone.  The acting split torus
-multiplies coordinate r by the character prod_k kappa_k^(W[k][r]) where W is
-the fan's weight matrix.  Orbit membership and stabilizer group schemes are
-computed exactly through integer linear algebra: discrete logarithms reduce
-multiplicative questions over F_p to linear systems mod p-1, and prime
-factorization plus a sign system does the same over Q.
+that the zero coordinates fit inside a single cone.  The acting group is
+G = ker(beta) on the ray coordinates (Borisov, Chen & Smith, JAMS 2005), and
+every orbit question is read off the rays: discrete logarithms turn
+multiplicative systems over F_p into linear ones mod p-1, and prime
+factorization plus a sign system does the same over Q (:func:`solve_units`).
+In this module only :func:`act` reads the fan's weight matrix.
 
-Over F_p the nondegenerate points split into strata, one per cone: the
-stratum of a face is the set of points whose zero set is that face, and its
-support S is the complement (the orbit-cone correspondence, Cox-Little-
-Schenck, *Toric Varieties*, 3.2).  Discrete logs identify the stratum with
-(Z/(p-1))^S, on which the torus acts by translation through the weight
-columns W_S.  The orbits are the cosets of the lattice L_S spanned by the
-rows of W_S mod p-1 and by (p-1) Z^S.  One Hermite normal form gives an
-upper-triangular basis of L_S whose pivots d_i divide p-1; it yields the
-canonical representative of every orbit on the stratum (one greedy pass,
-see :func:`canonical_form`) and the stratum's orbit count prod_i d_i, so
+Over F_p the nondegenerate points split into strata, one per face tau: the
+points whose zero set is tau, with support S the complement (the orbit-cone
+correspondence, Cox-Little-Schenck, *Toric Varieties*, 3.2).  In logs mod
+m = p-1 the group is {x : beta x = 0 mod m}, torsion included, so two points
+of the stratum share an orbit exactly when the difference z of their logs
+has beta_S z in im beta_tau + m Z^rank.  One Smith form of the face's rays
+gives these z as a lattice L_S with an upper-triangular basis whose pivots
+d_i divide m (:func:`_stratum_basis`).  It yields the canonical
+representative of every orbit on the stratum (one greedy pass, see
+:func:`canonical_form`) and the stratum's orbit count prod_i d_i, so
 enumeration costs time in proportion to the number of orbits.
 """
 
@@ -30,14 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_linalg import (
-    FinDiagGroupDesc,
-    IntMatrix,
-    cokernel,
-    hnf,
-    snf,
-    solve_mod,
-)
+from .exact_linalg import FinDiagGroupDesc, IntMatrix, SmithForm, _augment, _hermite, snf, solve_mod
 from .fields import Element, Field, PrimeField, RationalField, _is_prime_power, _prime_factors
 from .root_fans import StackyFan, face_partition, fan_faces, weight_matrix
 
@@ -244,21 +237,13 @@ def solve_units(
     raise ValueError(f"unsupported field {field.name}")
 
 
-def witness_units(
-    w: IntMatrix, p: Sequence[Element], q: Sequence[Element], field: Field
-) -> Optional[List[Element]]:
-    """Units carrying the coordinates p to q under the weights W, or None
-    when the supports differ or no units solve the system."""
-    support = [r for r, c in enumerate(p) if not field.is_zero(c)]
-    if support != [r for r, c in enumerate(q) if not field.is_zero(c)]:
-        return None
-    rows = [[w[k, r] for k in range(w.rows)] for r in support]
-    targets = [field.div(q[r], p[r]) for r in support]
-    return solve_units(rows, targets, field)
+def orbit_equal(p: FanPoint, q: FanPoint) -> bool:
+    """Decide whether two nondegenerate points lie in the same torus orbit.
 
-
-def orbit_witness(p: FanPoint, q: FanPoint) -> Optional[GroupElement]:
-    """A group element carrying p to q, or None when their orbits differ."""
+    With one support S, q is in the orbit of p exactly when some x in
+    G = ker(beta) has x_s = q_s / p_s on S: one :func:`solve_units` call on
+    a unit per ray, whose unit rows pin the quotients and whose rows of beta
+    ask beta x = 1."""
     if p.fan != q.fan:
         raise ValueError("points live on different fans")
     if p.field != q.field:
@@ -266,15 +251,12 @@ def orbit_witness(p: FanPoint, q: FanPoint) -> Optional[GroupElement]:
     for pt in (p, q):
         if not is_nondegenerate(pt.fan, pt.coords, pt.field):
             raise ValueError("orbit comparison requires nondegenerate points")
-    units = witness_units(_weights(p.fan), p.coords, q.coords, p.field)
-    if units is None:
-        return None
-    return GroupElement(tuple(p.field.of(u) for u in units))
-
-
-def orbit_equal(p: FanPoint, q: FanPoint) -> bool:
-    """Decide whether two nondegenerate points lie in the same torus orbit."""
-    return orbit_witness(p, q) is not None
+    support, f, fan = p.support(), p.field, p.fan
+    if support != q.support():
+        return False
+    rows = [[int(r == s) for r in range(fan.num_rays)] for s in support] + fan.beta.to_rows()
+    targets = [f.div(q.coords[s], p.coords[s]) for s in support] + [f.one] * fan.rank
+    return solve_units(rows, targets, f) is not None
 
 
 def stabilizer(p: FanPoint) -> FinDiagGroupDesc:
@@ -287,11 +269,19 @@ def stabilizer(p: FanPoint) -> FinDiagGroupDesc:
     return _face_group(p.fan, p.zero_set())
 
 
+def _face_form(fan: StackyFan, face: Sequence[int]) -> SmithForm:
+    """One Smith form U beta_tau V = diag(d) of the face's rays as columns."""
+    entries = tuple(fan.rays[r][i] for i in range(fan.rank) for r in face)
+    return snf(IntMatrix(fan.rank, len(face), entries))
+
+
 def _face_group(fan: StackyFan, face: Sequence[int]) -> FinDiagGroupDesc:
     """Z^rays / (im beta^T + Z^support), which fixes the points with zero set
-    ``face``: the cokernel of its rays as rows (Borisov, Chen & Smith, JAMS
-    2005).  It needs no weights, so it is defined when the group has torsion."""
-    return cokernel(IntMatrix(len(face), fan.rank, tuple(x for r in face for x in fan.rays[r])))
+    ``face``: Z^tau / im beta_tau^T, read off the face's Smith form (Borisov,
+    Chen & Smith, JAMS 2005).  It needs no weights, so it is defined when the
+    group has torsion."""
+    form = _face_form(fan, face)
+    return FinDiagGroupDesc(len(face) - form.rank, tuple(x for x in form.d if x > 1))
 
 
 def stabilizer_order(p: FanPoint) -> int:
@@ -324,21 +314,29 @@ def canonical_form(p: FanPoint) -> FanPoint:
         raise ValueError("canonical form requires a nondegenerate point")
     ctx = _dlog_context(p.field)
     support = p.support()
-    basis = _stratum_basis(_weights(p.fan), support, p.field.p - 1)
+    basis = _stratum_basis(p.fan, p.zero_set(), p.field.p - 1)
     values = _least_values(ctx, basis, [ctx.log(p.coords[r]) for r in support])
     return _point_on(p.fan, p.field, support, values)
 
 
 def _stratum_basis(
-    w: IntMatrix, support: Sequence[int], modulus: int
+    fan: StackyFan, face: Sequence[int], modulus: int, form: Optional[SmithForm] = None
 ) -> List[List[int]]:
-    """Upper-triangular basis of the lattice spanned by the rows of W_S mod
-    ``modulus`` and by ``modulus`` Z^S: row i has its pivot at column i, and
-    every pivot divides ``modulus``."""
-    rows = [[w[k, r] % modulus for r in support] for k in range(w.rows)]
-    rows += [[modulus if i == j else 0 for j in range(len(support))] for i in range(len(support))]
-    h, _ = hnf(IntMatrix.from_rows(rows))
-    return h.to_rows()[: len(support)]
+    """Upper-triangular basis of L_S = {z in Z^S : beta_S z in im beta_tau +
+    ``modulus`` Z^rank}, S the support of ``face``: row i has its pivot at
+    column i, and every pivot divides ``modulus``.
+
+    With the face's Smith form U beta_tau V = diag(d) and c_j = gcd(d_j,
+    modulus), z lies in L_S exactly when (U beta_S z)_j = 0 mod c_j for
+    every j.  So one Hermite pass over the rows [U beta_s mod c | e_s] and
+    [c_j e_j | 0] leaves L_S in the rows whose pivots lie past column rank."""
+    form = form or _face_form(fan, face)
+    rank, support = fan.rank, [r for r in range(fan.num_rays) if r not in face]
+    c = [math.gcd(d, modulus) for d in form.d + (0,) * (rank - len(form.d))]
+    rows = _augment([[x % cj for x, cj in zip(form.U.mul_vector(fan.rays[s]), c)] for s in support])
+    rows += [[cj * (i == j) for j in range(rank + len(support))] for i, cj in enumerate(c)]
+    _hermite(rows, rank + len(support))
+    return [row[rank:] for row in rows[rank:]]
 
 
 def _least_values(ctx: _DlogContext, basis: List[List[int]], logs: Sequence[int]) -> List[int]:
@@ -401,18 +399,17 @@ def enumerate_orbits(fan: StackyFan, p: int) -> List[Tuple[FanPoint, int]]:
     """Enumerate the torus orbits of nondegenerate F_p points (complete fans).
 
     Returns (canonical representative, stabilizer group-scheme order) pairs,
-    sorted by representative.  Each face of the fan is one stratum: one HNF
-    gives its lattice basis, whose pivots d_i make the reduced coset
-    representatives prod range(d_i), one per orbit, and each goes through
-    the greedy pass of :func:`canonical_form`; the face's rays give the
-    stabilizer order shared by the stratum.  The orbit-count guard compares
+    sorted by representative.  Each face of the fan is one stratum, and one
+    Smith form of its rays gives both the stabilizer order shared by the
+    stratum and the lattice basis, whose pivots d_i make the reduced coset
+    representatives prod range(d_i), one per orbit; each goes through the
+    greedy pass of :func:`canonical_form`.  The orbit-count guard compares
     the number of faces (each stratum holds at least one orbit) with its
     bound before any face is listed, and the total sum over faces of
     prod d_i before any orbit is built.
     """
     field = PrimeField(p)
     ctx = _dlog_context(field)
-    w = _weights(fan)
     count = sum(2 ** (fan.rank - len(low)) for low in face_partition(fan).values())
     if count > _ORBIT_COUNT_BOUND:
         raise ValueError(
@@ -421,17 +418,17 @@ def enumerate_orbits(fan: StackyFan, p: int) -> List[Tuple[FanPoint, int]]:
         )
     strata = []
     for face in fan_faces(fan):
+        form = _face_form(fan, face)  # certified faces have independent rays: no d_j is 0
         support = tuple(r for r in range(fan.num_rays) if r not in face)
-        strata.append((face, support, _stratum_basis(w, support, p - 1)))
-    count = sum(math.prod(row[i] for i, row in enumerate(b)) for _, _, b in strata)
+        strata.append((support, _stratum_basis(fan, face, p - 1, form), math.prod(form.d)))
+    count = sum(math.prod(row[i] for i, row in enumerate(b)) for _, b, _ in strata)
     if count > _ORBIT_COUNT_BOUND:
         raise ValueError(
             f"orbit-count guard: {count} torus orbits of F_{p} points exceed "
             f"the bound {_ORBIT_COUNT_BOUND}"
         )
     orbits = []
-    for face, support, basis in strata:
-        order = _face_group(fan, face).order
+    for support, basis, order in strata:
         pivots = [range(row[i]) for i, row in enumerate(basis)]
         for logs in itertools.product(*pivots):
             values = _least_values(ctx, basis, logs)

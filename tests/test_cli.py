@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -152,6 +153,25 @@ class TestFanCommands:
         assert all(payload[k] for k in ("simplicial", "pure", "wall_condition", "complete"))
 
 
+def _cminus_orbit_minima(n, p):
+    """Brute force: the least point of the orbit of every nondegenerate F_p
+    point of Cminus_n under ker(beta) mod (p-1), torsion included."""
+    fan = build_upsilon(FanFamily("Cminus", n))
+    g = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+    group = [
+        tuple(pow(g, e, p) for e in x)
+        for x in itertools.product(range(p - 1), repeat=fan.num_rays)
+        if all(sum(b * e for b, e in zip(row, x)) % (p - 1) == 0 for row in fan.beta.to_rows())
+    ]
+    least = {}
+    for coords in itertools.product(range(p), repeat=fan.num_rays):
+        zero = {r for r, c in enumerate(coords) if c == 0}
+        if coords not in least and any(zero <= set(cone) for cone in fan.max_cones):
+            for x in group:  # coords comes first in its orbit, so it is least
+                least[tuple(c * u % p for c, u in zip(coords, x))] = coords
+    return least
+
+
 class TestPointCommands:
     def test_stab(self, capsys):
         code, out = run(
@@ -167,6 +187,27 @@ class TestPointCommands:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert json.loads(out) == {"free_rank": 0, "torsion": [2]}
+
+    def test_orbit_commands_with_torsion_in_the_acting_group(self, capsys):
+        # Cminus has no split weight matrix; canon, enumerate and orbit-eq
+        # give the brute-force answer under ker(beta) mod (p-1).
+        least = _cminus_orbit_minima(3, 5)
+        code, out = run(capsys, *"point enumerate --family Cminus --n 3 --p 5 --json".split())
+        assert code == 0
+        reps = [tuple(int(c) for c in o["coords"]) for o in json.loads(out)["orbits"]]
+        assert reps == sorted(set(least.values())) and len(reps) == 25
+        # the identity component of ker(beta) alone does not carry (2, 2, 2, 4) to (1, 1, 1, 1)
+        for coords, same in (((2, 2, 2, 4), True), ((1, 1, 1, 2), False)):
+            assert (least[coords] == least[(1, 1, 1, 1)]) is same
+            text = ",".join(map(str, coords))
+            argv = f"point canon --family Cminus --n 3 --coords {text} --field F5 --json"
+            code, out = run(capsys, *argv.split())
+            assert code == 0
+            assert json.loads(out)["coords"] == [str(c) for c in least[coords]]
+            argv = f"point orbit-eq --family Cminus --n 3 --coords {text} --coords2 1,1,1,1"
+            code, out = run(capsys, *argv.split(), "--field", "F5", "--json")
+            assert code == 0
+            assert json.loads(out)["orbit_equal"] is same
 
     def test_count(self, capsys):
         code, out = run(capsys, *"point count --family A --n 1 --q 5 --json".split())

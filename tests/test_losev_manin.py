@@ -624,10 +624,6 @@ class TestIdentities:
     def test_cd_disjoint_negative(self):
         assert not verify_cd_disjoint(3, negative_control=True)
 
-    def test_divisor_relation(self):
-        for n in range(2, 7):
-            assert verify_divisor_relation(n)
-
     @pytest.mark.parametrize("n", range(2, 9))
     def test_min_intersection_closed_form(self, n):
         for size in range(n + 1):
@@ -655,22 +651,12 @@ class TestIdentities:
         assert verify_divisor_relation(n, negative_control) is expected
         assert divisor_relation_oracle(n, negative_control) is expected
 
-    def test_divisor_relation_negative(self):
-        assert not verify_divisor_relation(3, negative_control=True)
-
     def test_hyperplane(self):
         for n in (2, 3, 4):
             assert verify_section_hyperplane(n)
 
     def test_hyperplane_negative(self):
         assert not verify_section_hyperplane(3, flip_signs=True)
-
-    def test_cocycle(self):
-        for n in (3, 4, 5):
-            assert verify_a_data_cocycle(n)
-
-    def test_cocycle_negative(self):
-        assert not verify_a_data_cocycle(3, negative_control=True)
 
     @pytest.mark.parametrize("negative_control", [False, True])
     @pytest.mark.parametrize("n", range(3, 8))

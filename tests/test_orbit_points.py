@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from toricchains import orbit_points
-from toricchains.exact_linalg import FinDiagGroupDesc, IntMatrix, cokernel, snf, solve_mod
+from toricchains.exact_linalg import FinDiagGroupDesc, IntMatrix, cokernel, hnf, snf, solve_mod
 from toricchains.fields import GF, QQ
 from toricchains.orbit_points import (
     _rational_factor_data,
@@ -22,7 +22,6 @@ from toricchains.orbit_points import (
     is_nondegenerate,
     make_point,
     orbit_equal,
-    orbit_witness,
     solve_units,
     stabilizer,
     stabilizer_order,
@@ -102,6 +101,53 @@ def _weight_side_stabilizer(p):
     path the face's rays replaced, defined only for a torsion-free group."""
     w = weight_matrix(p.fan)
     return cokernel(IntMatrix.from_rows([[w[k, r] for r in p.support()] for k in range(w.rows)]))
+
+
+def orbit_witness(p, q):
+    """A torus element carrying p to q, or None when their orbits differ:
+    the weight-side solve that :func:`orbit_equal` replaced, defined only
+    for a torsion-free group."""
+    if p.fan != q.fan or p.field != q.field:
+        raise ValueError("points live on different fans or fields")
+    for pt in (p, q):
+        if not is_nondegenerate(pt.fan, pt.coords, pt.field):
+            raise ValueError("orbit comparison requires nondegenerate points")
+    support, f, w = p.support(), p.field, weight_matrix(p.fan)
+    if support != q.support():
+        return None
+    rows = [[w[k, r] for k in range(w.rows)] for r in support]
+    units = solve_units(rows, [f.div(q.coords[r], p.coords[r]) for r in support], f)
+    return None if units is None else GroupElement(tuple(f.of(u) for u in units))
+
+
+def weight_side_basis(fan, face, modulus):
+    """The stratum basis as the Hermite form of the rows of W_S mod
+    ``modulus`` and ``modulus`` Z^S: the path the face's rays replaced."""
+    w = weight_matrix(fan)
+    support = [r for r in range(fan.num_rays) if r not in face]
+    rows = [[w[k, r] % modulus for r in support] for k in range(w.rows)]
+    rows += [[modulus * (i == j) for j in range(len(support))] for i in range(len(support))]
+    return hnf(IntMatrix.from_rows(rows))[0].to_rows()[: len(support)]
+
+
+def kernel_orbit_minima(fan, p):
+    """Brute force under G(F_p) = {x in (Z/(p-1))^rays : beta x = 0}, torsion
+    included: each nondegenerate F_p point mapped to the least point of its
+    orbit."""
+    m = p - 1
+    g = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(m)}) == m)
+    beta = fan.beta.to_rows()
+    group = [
+        tuple(pow(g, e, p) for e in x)
+        for x in itertools.product(range(m), repeat=fan.num_rays)
+        if all(sum(b * e for b, e in zip(row, x)) % m == 0 for row in beta)
+    ]
+    least = {}
+    for coords in itertools.product(range(p), repeat=fan.num_rays):
+        if coords not in least and is_nondegenerate(fan, coords, GF(p)):
+            for x in group:  # coords comes first in its orbit, so it is least
+                least[tuple(c * u % p for c, u in zip(coords, x))] = coords
+    return least
 
 
 class TestNondegeneracy:
@@ -244,26 +290,33 @@ class TestOrbitEqual:
         with pytest.raises(ValueError):
             orbit_equal(make_point(A1, F7, [1, 1]), make_point(A1, F5, [1, 1]))
 
+    # The witness tests keep the weight-side oracle honest, and hold
+    # orbit_equal to the same answers and the same refusals.
+
     def test_witness_carries_p_to_q(self):
         p = make_point(A2, F7, [1, 2, 3, 4])
         q = act(GroupElement((3, 5)), p)
-        assert act(orbit_witness(p, q), p) == q
-        assert orbit_witness(p, make_point(A2, F7, [0, 2, 3, 4])) is None
+        assert act(orbit_witness(p, q), p) == q and orbit_equal(p, q)
+        off = make_point(A2, F7, [0, 2, 3, 4])
+        assert orbit_witness(p, off) is None and not orbit_equal(p, off)
 
     def test_witness_rejects_field_mismatch(self):
-        with pytest.raises(ValueError):
-            orbit_witness(make_point(A1, F5, [1, 1]), make_point(A1, F7, [1, 1]))
+        for decide in (orbit_witness, orbit_equal):
+            with pytest.raises(ValueError):
+                decide(make_point(A1, F5, [1, 1]), make_point(A1, F7, [1, 1]))
 
     def test_witness_rejects_fan_mismatch(self):
-        with pytest.raises(ValueError):
-            orbit_witness(make_point(A2, F5, [1, 1, 1, 1]), make_point(C2, F5, [1, 1, 1, 1]))
+        for decide in (orbit_witness, orbit_equal):
+            with pytest.raises(ValueError):
+                decide(make_point(A2, F5, [1, 1, 1, 1]), make_point(C2, F5, [1, 1, 1, 1]))
 
     def test_witness_rejects_degenerate_point(self):
         origin = FanPoint(A1, F5, (0, 0))
-        with pytest.raises(ValueError):
-            orbit_witness(origin, origin)
-        with pytest.raises(ValueError):
-            orbit_witness(make_point(A1, F5, [1, 1]), origin)
+        for decide in (orbit_witness, orbit_equal):
+            with pytest.raises(ValueError):
+                decide(origin, origin)
+            with pytest.raises(ValueError):
+                decide(make_point(A1, F5, [1, 1]), origin)
 
 
 class TestCanonicalForm:
@@ -329,6 +382,194 @@ class TestCanonicalForm:
         message = "discrete-log guard: p = 1000003 exceeds the bound _DLOG_TABLE_BOUND = 200003"
         with pytest.raises(ValueError, match=message):
             canonical_form(make_point(A1, GF(1000003), [1, 2]))
+
+
+STRATUM_FANS = [
+    build_upsilon(FanFamily(t, n)) for t in ("A", "B", "Bcan", "C") for n in range(1, 5)
+] + [SIGMA3, build_sigma_A(4)]
+STRATUM_IDS = [f"{t}{n}" for t in ("A", "B", "Bcan", "C") for n in range(1, 5)] + [
+    "SigmaA3", "SigmaA4"
+]
+STRATUM_PRIMES = (2, 3, 5, 7, 13)
+
+
+def _random_unit(rng, field):
+    if field is QQ:
+        numerator = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 4, 6, 9])
+        return Fraction(numerator, rng.choice([1, 2, 3, 8]))
+    return rng.randint(1, field.p - 1)
+
+
+class TestRaySide:
+    """The face's rays against the weight-side presentation they replaced:
+    the stratum lattice, and orbit equality over F_p and Q."""
+
+    @pytest.mark.parametrize("fan", STRATUM_FANS, ids=STRATUM_IDS)
+    def test_stratum_basis_matches_the_weight_side(self, fan):
+        for face, p in itertools.product(fan_faces(fan), STRATUM_PRIMES):
+            got = orbit_points._stratum_basis(fan, face, p - 1)
+            assert got == weight_side_basis(fan, face, p - 1), (face, p)
+
+    def test_the_comparison_covers_every_case(self):
+        faces = sum(len(fan_faces(fan)) for fan in STRATUM_FANS)
+        assert faces * len(STRATUM_PRIMES) == 2840
+
+    def test_support_rays_give_another_basis(self):
+        # negative control: the Smith form of the support's rays in place of
+        # the face's
+        wrong = [
+            (face, p)
+            for fan in (A2, C2) for face in fan_faces(fan) for p in STRATUM_PRIMES
+            if orbit_points._stratum_basis(
+                fan, face, p - 1,
+                orbit_points._face_form(fan, [r for r in range(fan.num_rays) if r not in face]),
+            ) != weight_side_basis(fan, face, p - 1)
+        ]
+        assert wrong
+
+    @pytest.mark.parametrize("field", [GF(2), F3, F5, F7, GF(13), QQ], ids=str)
+    def test_orbit_equal_matches_the_weight_side_solve(self, field):
+        rng = random.Random(str(field))
+        seen = set()
+        for fan in (A1, A2, C2, BCAN2, SIGMA3, build_upsilon(FanFamily("B", 3))):
+            faces = fan_faces(fan)
+            for _ in range(40):
+                face = rng.choice(faces)
+                coords = [0 if r in face else _random_unit(rng, field) for r in range(fan.num_rays)]
+                p = make_point(fan, field, coords)
+                units = [_random_unit(rng, field) for _ in range(fan.num_rays - fan.rank)]
+                q = act(GroupElement(tuple(units)), p)
+                if rng.random() < 0.5:
+                    r = rng.choice(p.support())
+                    moved = list(q.coords)
+                    moved[r] = field.mul(moved[r], field.of(_random_unit(rng, field)))
+                    q = make_point(fan, field, moved)
+                want = orbit_witness(p, q) is not None
+                assert orbit_equal(p, q) == want, (p.coords, q.coords)
+                seen.add(want)
+        assert seen == {True, False} or field == GF(2)
+
+    def test_orbit_questions_read_no_weights(self, monkeypatch):
+        def refuse(fan):
+            raise AssertionError("weights read")
+
+        monkeypatch.setattr(orbit_points, "_weights", refuse)
+        p = make_point(A2, F7, [3, 5, 2, 6])
+        assert canonical_form(p).coords == (1, 1, 5, 1)
+        assert orbit_equal(p, make_point(A2, F7, [1, 1, 5, 1]))
+        assert len(enumerate_orbits(A2, 13)) == 200
+        with pytest.raises(AssertionError, match="weights read"):  # the patch bites
+            act(GroupElement((1, 1)), p)
+
+
+CMINUS_ORBITS = [
+    (n, p, count)
+    for (n, p), count in zip(
+        itertools.product((2, 3, 4), (3, 5, 7)), (3, 4, 5, 13, 25, 41, 49, 139, 307)
+    )
+]
+
+
+class TestTorsion:
+    """Cminus: the acting group ker(beta) has torsion (2,), so there is no
+    weight matrix; the orbit questions match brute force under
+    ker(beta) mod (p-1)."""
+
+    @pytest.mark.parametrize(
+        "n, p, count", CMINUS_ORBITS, ids=[f"Cminus{n}-F{p}" for n, p, _ in CMINUS_ORBITS]
+    )
+    def test_matches_brute_force(self, n, p, count):
+        fan, field = build_upsilon(FanFamily("Cminus", n)), GF(p)
+        least = kernel_orbit_minima(fan, p)
+        orbits = enumerate_orbits(fan, p)
+        assert [pt.coords for pt, _ in orbits] == sorted(set(least.values()))
+        assert len(orbits) == count
+        assert all(order == stabilizer_order(pt) for pt, order in orbits)
+        members, strata = {}, {}
+        for coords, rep in least.items():
+            members.setdefault(rep, []).append(coords)
+            strata.setdefault(FanPoint(fan, field, coords).zero_set(), []).append(coords)
+        rng = random.Random(f"{n}/{p}")
+        for coords in rng.sample(sorted(least), min(150, len(least))):
+            pt = FanPoint(fan, field, coords)
+            assert canonical_form(pt).coords == least[coords]
+            for other in (rng.choice(members[least[coords]]), rng.choice(strata[pt.zero_set()])):
+                same = least[other] == least[coords]
+                assert orbit_equal(pt, FanPoint(fan, field, other)) == same, (coords, other)
+
+    def test_brute_force_sees_the_torsion(self):
+        # negative control: the identity component alone, ker(beta) over Z
+        # taken mod p-1, leaves more orbits than ker(beta) mod p-1
+        fan, p, g = build_upsilon(FanFamily("Cminus", 3)), 5, 2
+        form = snf(fan.beta)
+        kernel = [form.V.col(j) for j in range(fan.rank, fan.num_rays)]
+        logs = (
+            [sum(a * k[r] for a, k in zip(coeffs, kernel)) for r in range(fan.num_rays)]
+            for coeffs in itertools.product(range(p - 1), repeat=len(kernel))
+        )
+        group = {tuple(pow(g, e, p) for e in x) for x in logs}
+        orbits = {
+            min(tuple(c * u % p for c, u in zip(coords, x)) for x in group)
+            for coords in kernel_orbit_minima(fan, p)
+        }
+        assert len(orbits) > len(enumerate_orbits(fan, p)) == 25
+
+
+def _det(m):
+    """Leibniz determinant, for the small minors of the mass formula."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def _invariant_factors(columns, rank):
+    """d_1 | d_2 | ... of the matrix with these columns, from its
+    determinantal divisors D_k, the gcd of its k x k minors."""
+    divisors = [1]
+    for k in range(1, len(columns) + 1):
+        divisors.append(math.gcd(*(
+            _det([[columns[c][r] for c in cols] for r in rows])
+            for rows in itertools.combinations(range(rank), k)
+            for cols in itertools.combinations(range(len(columns)), k)
+        )))
+    return [b // a for a, b in zip(divisors, divisors[1:])]
+
+
+def _mass(fan, face, p, gcd=math.gcd):
+    """(p-1)^(rank - |tau|) prod_j gcd(d_j, p-1): the orbits on the stratum
+    of ``face`` when the acting group is a torus, so that beta is onto."""
+    factors = _invariant_factors([fan.rays[r] for r in face], fan.rank)
+    return (p - 1) ** (fan.rank - len(face)) * math.prod(gcd(d, p - 1) for d in factors)
+
+
+def _stratum_counts(fan, p):
+    counts = {}
+    for pt, _ in enumerate_orbits(fan, p):
+        counts[pt.zero_set()] = counts.get(pt.zero_set(), 0) + 1
+    return counts
+
+
+MASS_CASES = [("A", 3, 7), ("C", 3, 7), ("B", 3, 5), ("Bcan", 3, 13), ("SigmaA", 4, 5)]
+
+
+class TestMassFormula:
+    @pytest.mark.parametrize(
+        "tag, n, p", MASS_CASES, ids=[f"{t}{n}-F{p}" for t, n, p in MASS_CASES]
+    )
+    def test_orbits_per_stratum(self, tag, n, p):
+        fan = build_sigma_A(n) if tag == "SigmaA" else build_upsilon(FanFamily(tag, n))
+        assert _stratum_counts(fan, p) == {face: _mass(fan, face, p) for face in fan_faces(fan)}
+
+    def test_dropping_the_gcd_miscounts(self):
+        fan = build_upsilon(FanFamily("A", 3))
+        counts = _stratum_counts(fan, 7)
+        wrong = [
+            face for face in fan_faces(fan)
+            if counts[face] != _mass(fan, face, 7, gcd=lambda d, m: d)
+        ]
+        assert wrong
 
 
 class TestLeastUnit:
