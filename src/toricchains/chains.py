@@ -46,13 +46,6 @@ def poly_trim(c: Sequence[Element], field: Field) -> List[Element]:
     return out
 
 
-def poly_eval(c: Sequence[Element], x: Element, field: Field) -> Element:
-    acc = field.zero
-    for coeff in reversed(list(c)):
-        acc = field.add(field.mul(acc, x), coeff)
-    return acc
-
-
 def poly_mul(a: Sequence[Element], b: Sequence[Element], field: Field) -> List[Element]:
     if not a or not b:
         return []
@@ -85,24 +78,6 @@ def poly_divmod(
     return poly_trim(quot, field), poly_trim(rem, field)
 
 
-def poly_gcd(a: Sequence[Element], b: Sequence[Element], field: Field) -> List[Element]:
-    a = poly_trim(a, field)
-    b = poly_trim(b, field)
-    while b:
-        _, r = poly_divmod(a, b, field)
-        a, b = b, r
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(x, inv) for x in a]
-    return a
-
-
-def poly_derivative(c: Sequence[Element], field: Field) -> List[Element]:
-    return poly_trim(
-        [field.mul(field.of(i), x) for i, x in enumerate(c)][1:], field
-    )
-
-
 def poly_from_roots(roots: Sequence[Element], field: Field) -> List[Element]:
     out = [field.one]
     for r in roots:
@@ -111,45 +86,98 @@ def poly_from_roots(roots: Sequence[Element], field: Field) -> List[Element]:
 
 
 def root_multiplicity(c: Sequence[Element], r: Element, field: Field) -> int:
-    mult = 0
-    cur = poly_trim(c, field)
-    while cur and field.is_zero(poly_eval(cur, r, field)):
-        cur, rem = poly_divmod(cur, [field.neg(r), field.one], field)
-        assert not rem
-        mult += 1
+    mult, cur = 0, poly_trim(c, field)
+    while cur:
+        quot, rem = poly_divmod(cur, [field.neg(r), field.one], field)
+        if rem:
+            break
+        mult, cur = mult + 1, quot
     return mult
 
 
-def _pow_minus_one(
-    base: Sequence[Element], e: int, mod: Sequence[Element], field: Field
-) -> List[Element]:
-    """base**e - 1 modulo mod, by repeated squaring."""
-    h = [field.one]
-    while e:
-        if e & 1:
-            h = poly_divmod(poly_mul(h, base, field), mod, field)[1] or [field.zero]
-        e >>= 1
-        if e:
-            base = poly_divmod(poly_mul(base, base, field), mod, field)[1]
-    h[0] = field.sub(h[0], field.one)
-    return poly_trim(h, field)
+def _monic(a: Sequence[int], p: int) -> List[int]:
+    """a over F_p without its zero top coefficients, scaled to be monic."""
+    a = list(a)
+    while a and not a[-1] % p:
+        a.pop()
+    inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]
 
 
-def _split_roots(g: List[Element], field: PrimeField) -> List[int]:
-    """The roots of a monic g that is a product of distinct t - r, r a unit.
+def _divmod_monic(a: Sequence[int], f: Sequence[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by the monic f over F_p, with one ``% p``
+    per coefficient."""
+    r, d = list(a), len(f) - 1
+    q = [0] * max(0, len(r) - d)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + d] % p
+        if c:
+            for k in range(d):
+                r[i + k] -= c * f[k]
+    return q, [x % p for x in r[:d]]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(_divmod_monic(a, b, p)[1], p)
+    return a
+
+
+def _power(a: int, e: int, f: Sequence[int], p: int) -> List[int]:
+    """(t + a)^e modulo the monic f, left to right: a set bit multiplies by
+    t + a, which is a shift and one reduction step, O(deg f)."""
+    h = [1] + [0] * (len(f) - 2)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(h) - 1)
+        for i, x in enumerate(h):
+            if x:
+                for k, y in enumerate(h, i):
+                    sq[k] += x * y
+        h = _divmod_monic(sq, f, p)[1]
+        if bit == "1":
+            h = [(a * x + y - h[-1] * c) % p for x, y, c in zip(h, [0] + h[:-1], f)]
+    return h
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a nonzero square a modulo an odd prime p (Tonelli-
+    Shanks; Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 1.5.1)."""
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^e with q odd
+    q = (p - 1) >> e
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    y, x, b = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:  # x^2 = a b, b has order 2^m < 2^e and y order 2^e
+        m, t = 0, b
+        while t != 1:
+            t, m = t * t % p, m + 1
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
+
+
+def _distinct_roots(g: List[int], p: int, a: int) -> List[int]:
+    """The roots of a monic g that is a product of distinct t - r, r a unit,
+    whole under the shifts below a.
 
     gcd(g, (t+a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
     square.  For two roots r != s, as a runs over F_p minus {-s}, (r+a)/(s+a)
     takes every value but 1 once, so for (p-1)/2 values of a it is a
-    nonsquare and exactly one of r, s is kept: some a < p splits g."""
+    nonsquare and exactly one of r, s is kept: some a < p splits g.  A shift
+    that leaves g whole leaves its factors whole."""
     if len(g) <= 2:
-        return [field.neg(g[0])] if len(g) == 2 else []
-    half = (field.p - 1) // 2
-    for a in range(field.p):
-        d = poly_gcd(g, _pow_minus_one([a, field.one], half, g, field), field)
+        return [p - g[0]] if len(g) == 2 else []
+    if len(g) == 3:  # (-b +- sqrt(b^2 - 4c)) / 2
+        s, half = _sqrt_mod((g[1] * g[1] - 4 * g[0]) % p, p), (p + 1) // 2
+        return [(s - g[1]) * half % p, (-s - g[1]) * half % p]
+    for a in range(a, p):
+        h = _power(a, (p - 1) // 2, g, p)
+        h[0] -= 1
+        d = _gcd(g, h, p)
         if 1 < len(d) < len(g):
-            rest, _ = poly_divmod(g, d, field)
-            return _split_roots(d, field) + _split_roots(rest, field)
+            rest = _divmod_monic(g, d, p)[0]
+            return _distinct_roots(d, p, a + 1) + _distinct_roots(rest, p, a + 1)
     raise AssertionError("no shift splits a product of distinct linear factors")
 
 
@@ -158,31 +186,43 @@ def unit_root_multiplicities(
 ) -> Dict[int, int]:
     """Multiplicities of all roots in F_p^*, in increasing order.
 
-    The distinct unit roots of f are those of g = gcd(f, t^(p-1) - 1), which
-    :func:`_split_roots` splits into linear factors (Cantor-Zassenhaus; von
-    zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14), and division
-    gives each multiplicity, in O(d^2 log p) field operations for degree d."""
-    f = poly_trim(c, field)
+    With h = t^((p-1)/2) mod f, the distinct unit roots of f are those of
+    gcd(f, h - 1), the squares, and of gcd(f, h + 1), split further by
+    shifted powerings (Cantor-Zassenhaus; von zur Gathen-Gerhard, *Modern
+    Computer Algebra*, ch. 14).  A powering costs O(d^2 log p) operations on
+    ints for degree d; a quadratic factor costs one square root mod p.
+    Synthetic division gives the multiplicities."""
+    p = field.p
+    f = _monic(c, p)
     if not f:
         raise ValueError("the zero polynomial vanishes at every unit")
-    g = poly_gcd(f, _pow_minus_one([field.zero, field.one], field.p - 1, f, field), field)
-    return {r: root_multiplicity(f, r, field) for r in sorted(_split_roots(g, field))}
-
-
-def is_squarefree(c: Sequence[Element], field: Field) -> bool:
-    c = poly_trim(c, field)
-    if len(c) <= 1:
-        return True
-    d = poly_derivative(c, field)
-    if not d:
-        # Vanishing derivative of a nonconstant polynomial: p-th power.
-        return False
-    return len(poly_gcd(c, d, field)) == 1
+    if len(f) == 1:
+        return {}
+    if p == 2:
+        roots = [1] if sum(f) % 2 == 0 else []
+    else:  # h = 1 at the squares and -1 at the other units
+        h = _power(0, (p - 1) // 2, f, p)
+        roots = [r for s in (-1, 1) for r in _distinct_roots(_gcd(f, [h[0] + s, *h[1:]], p), p, 1)]
+    mults = dict.fromkeys(sorted(roots), 0)
+    for r in mults:
+        q, rem = _divmod_monic(f, [p - r, 1], p)
+        while not rem[0]:
+            f, mults[r] = q, mults[r] + 1
+            q, rem = _divmod_monic(f, [p - r, 1], p)
+    return mults
 
 
 # ---------------------------------------------------------------------------
 # Chain models
 # ---------------------------------------------------------------------------
+
+
+def _check_canonical(field: Field, name: str, values: Sequence) -> None:
+    """Refuse a value that is not the field's own form of itself, such as 7
+    in F_7, naming its slot."""
+    for i, x in enumerate(values):
+        if x != field.of(x):
+            raise ValueError(f"{name}[{i}] = {x!r} is not in canonical form in {field.name}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +247,8 @@ class ChainModel:
             raise ValueError("a chain has at least one component")
         if sum(self.component_degrees) != self.total_degree:
             raise ValueError("component degrees must sum to the total degree")
+        for k, poly in enumerate(self.component_polys):
+            _check_canonical(self.field, f"chain model: component_polys[{k}]", poly)
         for deg, poly in zip(self.component_degrees, self.component_polys):
             if deg < 1:
                 raise ValueError("component degrees must be >= 1")
@@ -316,6 +358,8 @@ class ExtendedPoint:
         if len(self.c) != self.n + 1 or len(self.b) != self.n - 1:
             raise ValueError("extended point has n+1 coefficients and n-1 twists")
         f = self.field
+        _check_canonical(f, "extended point: c", self.c)
+        _check_canonical(f, "extended point: b", self.b)
         if f.is_zero(self.c[0]) or f.is_zero(self.c[-1]):
             raise ValueError("end coefficients must be nonzero")
         for i in range(1, self.n):
@@ -545,7 +589,8 @@ def fiber_profile_of_chain(chain: ChainModel) -> FiberProfile:
         profiles.append(profile)
         if sum(roots.values()) != deg:
             split = False
-        if not is_squarefree(poly, f):
+        # gcd(f, f') = f when f' = 0: a nonconstant p-th power is not squarefree
+        if len(_gcd(poly, [k * x for k, x in enumerate(poly)][1:], f.p)) > 1:
             ramified = True
         mults.extend(roots.values())
     n = chain.total_degree

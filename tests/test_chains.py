@@ -4,10 +4,12 @@ and the involutive variants."""
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from toricchains import chains
 from toricchains.chains import (
     ChainModel,
     _nth_roots,
@@ -29,10 +31,10 @@ from toricchains.chains import (
     parity_component,
     point_from_polynomial,
     poly_divmod,
-    poly_eval,
     poly_from_roots,
     poly_mul,
     poly_trim,
+    root_multiplicity,
     unit_root_multiplicities,
 )
 from toricchains.fields import GF, QQ
@@ -45,7 +47,7 @@ from toricchains.orbit_points import (
 )
 from toricchains.root_fans import FanFamily, build_upsilon
 
-F7, F11 = GF(7), GF(11)
+F7, F11, F101 = GF(7), GF(11), GF(101)
 A1 = build_upsilon(FanFamily("A", 1))
 A2 = build_upsilon(FanFamily("A", 2))
 C1 = build_upsilon(FanFamily("C", 1))
@@ -519,6 +521,13 @@ class TestReversalRelated:
         assert not _reversal_related(p, [QQ.of(c) for c in (1, 0, 2, 0, 4)], QQ)
 
 
+def poly_eval(c, x, field):
+    acc = field.zero
+    for coeff in reversed(c):
+        acc = field.add(field.mul(acc, x), coeff)
+    return acc
+
+
 def scan_unit_roots(c, field):
     """Oracle: try every unit of F_p, dividing out each root found."""
     out = {}
@@ -534,18 +543,77 @@ def scan_unit_roots(c, field):
     return out
 
 
-# Every prime field up to 10^4 that the tests and the benchmark use.
-ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1009)
+def poly_gcd(a, b, field):
+    a, b = poly_trim(a, field), poly_trim(b, field)
+    while b:
+        a, b = b, poly_divmod(a, b, field)[1]
+    if a:
+        inv = field.inv(a[-1])
+        a = [field.mul(x, inv) for x in a]
+    return a
+
+
+def poly_derivative(c, field):
+    return poly_trim([field.mul(field.of(i), x) for i, x in enumerate(c)][1:], field)
+
+
+def pow_minus_one(base, e, mod, field):
+    """base**e - 1 modulo mod, by right-to-left squaring."""
+    h = [field.one]
+    while e:
+        if e & 1:
+            h = poly_divmod(poly_mul(h, base, field), mod, field)[1] or [field.zero]
+        e >>= 1
+        if e:
+            base = poly_divmod(poly_mul(base, base, field), mod, field)[1]
+    h[0] = field.sub(h[0], field.one)
+    return poly_trim(h, field)
+
+
+def split_roots(g, field):
+    """The roots of a monic g that is a product of distinct t - r, r a unit:
+    gcd(g, (t+a)^((p-1)/2) - 1) for a = 0, 1, 2, ... until one splits g."""
+    if len(g) <= 2:
+        return [field.neg(g[0])] if len(g) == 2 else []
+    half = (field.p - 1) // 2
+    for a in range(field.p):
+        d = poly_gcd(g, pow_minus_one([a, field.one], half, g, field), field)
+        if 1 < len(d) < len(g):
+            rest, _ = poly_divmod(g, d, field)
+            return split_roots(d, field) + split_roots(rest, field)
+    raise AssertionError("no shift splits a product of distinct linear factors")
+
+
+def cz_unit_roots(c, field):
+    """Oracle: the Field-generic Cantor-Zassenhaus root finder, split from
+    gcd(f, t^(p-1) - 1) with every product a poly_divmod."""
+    f = poly_trim(c, field)
+    g = poly_gcd(f, pow_minus_one([field.zero, field.one], field.p - 1, f, field), field)
+    return {r: root_multiplicity(f, r, field) for r in sorted(split_roots(g, field))}
+
+
+def irreducible_quadratic(rng, p):
+    while True:
+        b, c = rng.randrange(p), rng.randrange(1, p)
+        if pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1:
+            return [c, b, 1]
+
+
+# Every prime field up to 10^4 that the tests and the benchmark use, and
+# primes whose p - 1 has a high power of 2 (the longest Tonelli-Shanks
+# loops): 17 = 2^4+1, 97 = 3*2^5+1, 257 = 2^8+1, 7681 = 15*2^9+1.
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 97, 101, 257, 1009, 7681, 10007)
 
 
 class TestRootKernel:
-    """unit_root_multiplicities splits gcd(f, t^(p-1) - 1) by Cantor-Zassenhaus;
-    the unit scan is its oracle."""
+    """unit_root_multiplicities works on ints in range(p): one half-power
+    h = t^((p-1)/2) mod f, then shifted powerings and square roots; the unit
+    scan and the Field-generic Cantor-Zassenhaus finder are its oracles."""
 
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
     def test_matches_scan_oracle(self, p):
         field, rng = GF(p), random.Random(p)
-        for _ in range(60 if p > 100 else 200):
+        for _ in range(8 if p > 5000 else 60 if p > 100 else 200):
             roots = [rng.randrange(p) for _ in range(rng.randint(0, 5))]
             cofactor = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [rng.randrange(1, p)]
             c = poly_mul(poly_from_roots(roots, field), cofactor, field)
@@ -594,9 +662,84 @@ class TestRootKernel:
         got = unit_root_multiplicities(c, field)
         assert list(got.items()) == [(2, 1), (10**9 + 7, 1), (2**30, 2)]
 
+    @pytest.mark.parametrize("p", [2**31 - 1, 998244353])
+    def test_matches_cantor_zassenhaus_on_built_polynomials(self, p):
+        # 998244353 = 119 * 2^23 + 1: the longest Tonelli-Shanks loop below
+        # the 2^31 prime field guard
+        field, rng = GF(p), random.Random(p)
+        for _ in range(12):
+            roots = [rng.randrange(1, p) for _ in range(rng.randint(0, 4))]
+            roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))
+            c = poly_from_roots(roots, field)
+            for _ in range(rng.randint(0, 2)):
+                c = poly_mul(c, irreducible_quadratic(rng, p), field)
+            c = poly_mul(c, [rng.randrange(1, p)], field)
+            want = cz_unit_roots(c, field)
+            assert want == {r: roots.count(r) for r in sorted(set(roots))}
+            assert list(unit_root_multiplicities(c, field).items()) == list(want.items())
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97])
+    def test_is_ramified_is_a_common_factor_with_the_derivative(self, p):
+        # Over F_p, t^p - a has derivative 0 and is a p-th power.
+        field, rng = GF(p), random.Random(p)
+        cases = [[field.neg(a)] + [0] * (p - 1) + [1] for a in range(1, p)]
+        for _ in range(80):
+            c = poly_from_roots([rng.randrange(1, p) for _ in range(rng.randint(0, 3))], field)
+            factor = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))]
+            c = poly_mul(poly_mul(c, factor, field), factor if rng.random() < 0.4 else [1], field)
+            if len(c) > 1 and c[0]:
+                cases.append(c)
+        for c in cases:
+            chain = ChainModel(field, len(c) - 1, (len(c) - 1,), (tuple(c),))
+            repeated = len(poly_gcd(c, poly_derivative(c, field), field)) > 1
+            assert fiber_profile_of_chain(chain).is_ramified == repeated, (p, c)
+
+    @staticmethod
+    def _count_powerings(monkeypatch):
+        calls = []
+        power = chains._power
+        monkeypatch.setattr(
+            chains, "_power", lambda *args: calls.append(args[0]) or power(*args)
+        )
+        return calls
+
+    def test_two_unit_roots_cost_one_powering(self, monkeypatch):
+        # (t - 2)^2 (t - 3) (t^2 + 2) over F_101: 2 and 3 are nonsquares, so
+        # the half-power h gives gcd(f, h + 1) = (t - 2)(t - 3), which one
+        # square root splits.
+        calls = self._count_powerings(monkeypatch)
+        c = poly_mul(poly_from_roots([2, 2, 3], F101), [2, 0, 1], F101)
+        assert unit_root_multiplicities(c, F101) == {2: 2, 3: 1}
+        assert calls == [0]
+
+    def test_fourth_roots_of_unity_cost_four_powerings(self, monkeypatch):
+        # t^4 - 1 over F_1009 (p = 1 mod 8): all four roots are squares, so
+        # the half-power h gives gcd(f, h - 1) = f; shift 1 splits off one root,
+        # shift 2 leaves the cubic whole, shift 3 splits it into a root and
+        # a quadratic.
+        calls = self._count_powerings(monkeypatch)
+        field = GF(1009)
+        assert list(unit_root_multiplicities([1008, 0, 0, 0, 1], field)) == [1, 469, 540, 1008]
+        assert calls == [0, 1, 2, 3]
+
 
 def test_chain_model_validation():
     with pytest.raises(ValueError):
         ChainModel(F7, 2, (1, 1), ((1, 1),))  # one poly missing
     with pytest.raises(ValueError):
         ChainModel(F7, 2, (2,), ((0, 1, 1),))  # subscheme hits a pole
+
+
+@pytest.mark.parametrize("poly, slot", [((1, 1, 7), "component_polys[0][2] = 7"),
+                                        ((1, -1, 1), "component_polys[0][1] = -1")])
+def test_chain_model_refuses_non_canonical_coefficients(poly, slot):
+    # 7 is 0 in F_7: this chain would meet a node
+    with pytest.raises(ValueError, match=re.escape(slot)):
+        ChainModel(F7, 2, (2,), (poly,))
+
+
+@pytest.mark.parametrize("c, b, slot", [((1, 3, 8), (1,), "c[2] = 8"),
+                                        ((1, 3, 1), (7,), "b[0] = 7")])
+def test_extended_point_refuses_non_canonical_coefficients(c, b, slot):
+    with pytest.raises(ValueError, match=re.escape(slot)):
+        ExtendedPoint(2, F7, c, b)

@@ -554,6 +554,13 @@ class TestPolytopeAndVerify:
             assert code == 0
             assert [c["n"] for c in json.loads(out)["cases"]] == list(range(2, 9))
 
+    @pytest.mark.parametrize("what, least", [("divisor", 2), ("cocycle", 3)])
+    def test_verify_certificates_list_every_n(self, capsys, what, least):
+        code, out = run(capsys, "verify", what, "--n", "40", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        assert [c["n"] for c in payload["cases"]] == list(range(least, 41))
+
     def test_verify_chart_size_guard(self, capsys):
         for what in ("cd-disjoint", "hyperplane"):
             code = main(["verify", what, "--n", "15"])
