@@ -23,6 +23,14 @@ from toricchains import (
     verify_section_hyperplane,
 )
 
+
+def show(section):
+    """A chart section (every coefficient 1) as text, highest term first."""
+    monomials = ["*".join(f"x{i}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e, 1) if k)
+                 for e in sorted(section, reverse=True)]
+    return " + ".join(m or "1" for m in monomials)
+
+
 print("permutohedron vertex counts (n!):")
 for n in (2, 3, 4, 5):
     print(f"  n={n}: {permutohedron(n).num_vertices}")
@@ -37,7 +45,7 @@ for n in (2, 3, 4, 5):
 
 print("\nchart sections in the coordinates t_i = x_(i+1)/x_i:")
 for j in (1, 2):
-    print(f"  n=3, j={j}: {chart_section(3, (1, 2, 3), j).serialize()}")
+    print(f"  n=3, j={j}: {show(chart_section(3, (1, 2, 3), j))}")
 
 print("\nsymbolic identities:")
 print("  section/boundary divisors disjoint (n<=5):",

@@ -89,7 +89,7 @@ _EXPORTS = {
         "verify_minkowski",
         "verify_section_hyperplane",
     ),
-    "symbolic": ("MultiPoly", "RationalExpr", "parse_poly"),
+    "symbolic": ("MultiPoly", "RationalExpr"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

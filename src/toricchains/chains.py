@@ -21,16 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exact_linalg import IntMatrix
 from .fields import Element, Field, PrimeField
-from .orbit_points import (
-    FanPoint,
-    GroupElement,
-    act,
-    is_nondegenerate,
-    make_point,
-    scale_by_characters,
-    solve_units,
-    _weights,
-)
+from .orbit_points import FanPoint, is_nondegenerate, make_point, solve_units
 from .root_fans import FanFamily, build_upsilon, sigma_subsets
 
 
@@ -217,14 +208,6 @@ def unit_root_multiplicities(
 # ---------------------------------------------------------------------------
 
 
-def _check_canonical(field: Field, name: str, values: Sequence) -> None:
-    """Refuse a value that is not the field's own form of itself, such as 7
-    in F_7, naming its slot."""
-    for i, x in enumerate(values):
-        if x != field.of(x):
-            raise ValueError(f"{name}[{i}] = {x!r} is not in canonical form in {field.name}")
-
-
 @dataclass(frozen=True)
 class ChainModel:
     """A chain of projective lines carrying a finite subscheme.
@@ -248,7 +231,7 @@ class ChainModel:
         if sum(self.component_degrees) != self.total_degree:
             raise ValueError("component degrees must sum to the total degree")
         for k, poly in enumerate(self.component_polys):
-            _check_canonical(self.field, f"chain model: component_polys[{k}]", poly)
+            self.field.check_canonical(f"chain model: component_polys[{k}]", poly)
         for deg, poly in zip(self.component_degrees, self.component_polys):
             if deg < 1:
                 raise ValueError("component degrees must be >= 1")
@@ -358,8 +341,8 @@ class ExtendedPoint:
         if len(self.c) != self.n + 1 or len(self.b) != self.n - 1:
             raise ValueError("extended point has n+1 coefficients and n-1 twists")
         f = self.field
-        _check_canonical(f, "extended point: c", self.c)
-        _check_canonical(f, "extended point: b", self.b)
+        f.check_canonical("extended point: c", self.c)
+        f.check_canonical("extended point: b", self.b)
         if f.is_zero(self.c[0]) or f.is_zero(self.c[-1]):
             raise ValueError("end coefficients must be nonzero")
         for i in range(1, self.n):
@@ -387,11 +370,6 @@ def extended_from_standard(p: FanPoint) -> ExtendedPoint:
     n, a, b = _upsilon_a_point_data(p)
     f = p.field
     return ExtendedPoint(n, f, (f.one, *a, f.one), tuple(b))
-
-
-def act_extended(units: Sequence[Element], e: ExtendedPoint) -> ExtendedPoint:
-    new = scale_by_characters(extended_weight_matrix(e.n), units, e.coords(), e.field)
-    return ExtendedPoint(e.n, e.field, tuple(new[: e.n + 1]), tuple(new[e.n + 1 :]))
 
 
 def orbit_equal_extended(p: ExtendedPoint, q: ExtendedPoint) -> bool:
@@ -459,15 +437,13 @@ def point_from_polynomial(coeffs: Sequence, field: Field) -> ExtendedPoint:
         raise ValueError("need a polynomial of degree >= 1")
     if field.is_zero(c[0]) or field.is_zero(c[-1]):
         raise ValueError("subscheme meets a pole: zero end coefficient")
-    e = ExtendedPoint(n, field, tuple(c), (field.one,) * (n - 1))
     roots = _nth_roots(field.div(c[0], c[-1]), n, field)
-    if not roots:
-        return e
-    r = roots[0]
-    # kappa_i = r**i / c_0 fixes all twists and normalizes both ends.
-    k0 = field.inv(c[0])
-    units = [field.mul(k0, field.pow(r, i)) for i in range(n + 1)]
-    return act_extended(units, e)
+    if roots:
+        # c_i scales by kappa_i = r**i / c_0, which normalizes both ends, and
+        # b_i by kappa_i^2 / (kappa_{i-1} kappa_{i+1}) = 1.
+        k0 = field.inv(c[0])
+        c = [field.mul(x, field.mul(k0, field.pow(roots[0], i))) for i, x in enumerate(c)]
+    return ExtendedPoint(n, field, tuple(c), (field.one,) * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +627,19 @@ def minus_embed(p: FanPoint) -> FanPoint:
 
 def _normalize_twists(p: FanPoint) -> FanPoint:
     """Move a point with nonvanishing twists to one with all b = 1, if the
-    field permits; raises otherwise."""
-    f = p.field
-    w = _weights(p.fan)
-    k = p.fan.rank
-    b_positions = list(range(k, 2 * k))
-    if any(f.is_zero(p.coords[r]) for r in b_positions):
+    field permits; raises otherwise.
+
+    With beta = (-C | I), the torus element that scales a_j by x_j scales
+    b_i by prod_j x_j^C_ij, so x solves prod_j x_j^C_ij = 1/b_i."""
+    f, k = p.field, p.fan.rank
+    a, b = p.coords[:k], p.coords[k:]
+    if any(f.is_zero(x) for x in b):
         raise ValueError("twist normalization requires all b nonzero")
-    rows = [[w[j, r] for j in range(w.rows)] for r in b_positions]
-    targets = [f.inv(p.coords[r]) for r in b_positions]
-    units = solve_units(rows, targets, f)
+    rows = [[-x for x in row[:k]] for row in p.fan.beta.to_rows()]
+    units = solve_units(rows, [f.inv(x) for x in b], f)
     if units is None:
         raise ValueError("b-coordinates are not normalizable to 1 over this field")
-    return act(GroupElement(tuple(f.of(u) for u in units)), p)
+    return FanPoint(p.fan, f, tuple(f.mul(x, f.of(u)) for x, u in zip(a, units)) + (f.one,) * k)
 
 
 def involutive_polynomial(p: FanPoint) -> List[Element]:

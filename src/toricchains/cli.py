@@ -271,6 +271,9 @@ _VERIFY_CHECKS = {
 }
 _VERIFY_NAMES = tuple(_VERIFY_CHECKS)
 
+# verify divisor checks every n up to --n at O(n^2) steps each: O(N^3) in all
+_DIVISOR_GUARD = 100
+
 
 def _cmd_verify(args):
     """Every check at each n from its least up to ``--n`` (or its cap).
@@ -278,6 +281,11 @@ def _cmd_verify(args):
     if args.family is not None and args.what != "fan-map":
         raise ValueError("--family applies to verify fan-map only")
     names = _VERIFY_NAMES if args.what == "all" else (args.what,)
+    if "divisor" in names and args.n > _DIVISOR_GUARD:
+        raise ValueError(
+            f"divisor guard: verify divisor checks every n up to N = {args.n}, "
+            f"above the bound {_DIVISOR_GUARD}"
+        )
     cases = []
     for name in names:
         lo, hi, check = _VERIFY_CHECKS[name]

@@ -91,6 +91,13 @@ class Field:
         """Total order on elements, used for canonical forms and output."""
         raise NotImplementedError
 
+    def check_canonical(self, name: str, values) -> None:
+        """Refuse a value that is not the field's own form of itself, such as
+        7 in F_7, naming its slot."""
+        for i, x in enumerate(values):
+            if x != self.of(x):
+                raise ValueError(f"{name}[{i}] = {x!r} is not in canonical form in {self.name}")
+
     def format(self, a) -> str:
         raise NotImplementedError
 

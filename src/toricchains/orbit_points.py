@@ -49,6 +49,7 @@ class FanPoint:
     def __post_init__(self):
         if len(self.coords) != self.fan.num_rays:
             raise ValueError("one coordinate per ray required")
+        self.field.check_canonical("fan point: coords", self.coords)
 
     def support(self) -> Tuple[int, ...]:
         return tuple(
@@ -93,29 +94,22 @@ def _weights(fan: StackyFan) -> IntMatrix:
 
 
 def act(g: GroupElement, p: FanPoint) -> FanPoint:
-    """Multiply each coordinate by its character value at g."""
-    coords = scale_by_characters(_weights(p.fan), g.units, p.coords, p.field)
-    return FanPoint(p.fan, p.field, tuple(coords))
-
-
-def scale_by_characters(
-    w: IntMatrix, units: Sequence[Element], coords: Sequence[Element], field: Field
-) -> List[Element]:
-    """Multiply coordinate r by its character prod_k units[k]^W[k][r]."""
-    if len(units) != w.rows:
-        raise ValueError(f"the torus action needs {w.rows} units, got {len(units)}")
-    units = [field.of(u) for u in units]
-    if any(field.is_zero(u) for u in units):
+    """Multiply coordinate r by its character prod_k g.units[k]^W[k][r], W
+    the fan's weight matrix."""
+    w, f = _weights(p.fan), p.field
+    if len(g.units) != w.rows:
+        raise ValueError(f"the torus action needs {w.rows} units, got {len(g.units)}")
+    units = [f.of(u) for u in g.units]
+    if any(f.is_zero(u) for u in units):
         raise ValueError("group element units must be invertible")
-    new = []
-    for r, c in enumerate(coords):
-        v = c
-        for k in range(w.rows):
+    coords = []
+    for r, v in enumerate(p.coords):
+        for k, u in enumerate(units):
             e = w[k, r]
             if e:
-                v = field.mul(v, field.pow(units[k], e))
-        new.append(v)
-    return new
+                v = f.mul(v, f.pow(u, e))
+        coords.append(v)
+    return FanPoint(p.fan, f, tuple(coords))
 
 
 # ---------------------------------------------------------------------------

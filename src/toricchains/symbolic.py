@@ -6,17 +6,20 @@ elements; the zero polynomial has no terms.  Rational expressions are
 numerator/denominator pairs compared by cross-multiplication -- there is no
 multivariate gcd here, and none is needed for zero-testing.
 
-Term iteration and serialization use descending lexicographic order on
-exponent tuples, so output is deterministic.
+No library code calls this module: the identity checks in ``losev_manin``
+run on exponent -> coefficient dicts.  It remains for the n!-chart oracles
+in the tests and for the benchmark's tracer, which wraps ``MultiPoly``'s
+``*`` and ``+`` and ``RationalExpr``'s ``*``, ``+`` and ``is_zero`` by name.
+Once the library writes its own timing spans and the tracer reads them
+(ROADMAP item 1), the module can go.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .fields import Element, Field, QQ
+from .fields import Element, Field
 
 Exponent = Tuple[int, ...]
 
@@ -70,9 +73,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> List[Tuple[Exponent, Element]]:
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -105,9 +105,6 @@ class MultiPoly:
         f = self.field
         return MultiPoly(f, self.num_vars, {e: f.neg(c) for e, c in self.terms.items()})
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         f = self.field
@@ -122,78 +119,6 @@ class MultiPoly:
                     out[exp] = s
         return MultiPoly(f, self.num_vars, out)
 
-    # -- serialization -----------------------------------------------------
-
-    def serialize(self) -> str:
-        """Deterministic literal: terms in descending lex order.
-
-        Grammar (also accepted by :func:`parse_poly`)::
-
-            poly   := term (('+' | '-') term)*
-            term   := coeff | [coeff '*'] factor ('*' factor)*
-            factor := 'x' INDEX ['^' EXP]        (INDEX is 1-based)
-            coeff  := INT | INT '/' INT
-        """
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e > 0
-            ]
-            cs = self.field.format(c)
-            if not factors:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(cs + "*" + "*".join(factors))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
-
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
-def parse_poly(text: str, num_vars: int, field: Field = QQ) -> MultiPoly:
-    """Parse the polynomial literal format produced by ``serialize``."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ValueError("empty polynomial literal")
-    if text == "0":
-        return MultiPoly.zero(field, num_vars)
-    out = MultiPoly.zero(field, num_vars)
-    for chunk in _TERM_SPLIT.split(text):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError("dangling sign in polynomial literal")
-        coeff = field.of(sign)
-        exp = [0] * num_vars
-        for factor in chunk.split("*"):
-            m = _FACTOR.match(factor)
-            if m:
-                idx = int(m.group(1)) - 1
-                if not 0 <= idx < num_vars:
-                    raise ValueError(f"variable x{idx + 1} out of range")
-                exp[idx] += int(m.group(2) or 1)
-            else:
-                coeff = field.mul(coeff, field.parse(factor))
-        out = out + MultiPoly.monomial(field, exp, coeff)
-    return out
-
-
 @dataclass
 class RationalExpr:
     """A formal fraction of polynomials; equality by cross-multiplication."""
@@ -206,14 +131,6 @@ class RationalExpr:
             raise ZeroDivisionError("zero denominator in rational expression")
         self.num._check_compatible(self.den)
 
-    @property
-    def field(self) -> Field:
-        return self.num.field
-
-    @property
-    def num_vars(self) -> int:
-        return self.num.num_vars
-
     @staticmethod
     def from_poly(p: MultiPoly) -> "RationalExpr":
         return RationalExpr(p, MultiPoly.const(p.field, p.num_vars, 1))
@@ -225,11 +142,6 @@ class RationalExpr:
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         return RationalExpr(
             self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalExpr") -> "RationalExpr":
-        return RationalExpr(
-            self.num * other.den - other.num * self.den, self.den * other.den
         )
 
     def __mul__(self, other: "RationalExpr") -> "RationalExpr":

@@ -15,7 +15,7 @@ from toricchains.chains import (
     _nth_roots,
     _reversal_related,
     ExtendedPoint,
-    act_extended,
+    _normalize_twists,
     b_point_embed,
     c_point_embed,
     chain_from_point,
@@ -43,9 +43,10 @@ from toricchains.orbit_points import (
     act,
     is_nondegenerate,
     make_point,
+    solve_units,
     stabilizer,
 )
-from toricchains.root_fans import FanFamily, build_upsilon
+from toricchains.root_fans import FanFamily, build_upsilon, weight_matrix
 
 F7, F11, F101 = GF(7), GF(11), GF(101)
 A1 = build_upsilon(FanFamily("A", 1))
@@ -156,6 +157,16 @@ class TestPointFromPolynomial:
         assert e.b == (1, 1, 1)
 
 
+def _translate(units, e):
+    """The extended point e moved by the rank-(n+1) torus element ``units``:
+    c_i scales by kappa_i and b_i by kappa_i^2 / (kappa_{i-1} kappa_{i+1})."""
+    f, k = e.field, [e.field.of(u) for u in units]
+    c = tuple(f.mul(x, u) for x, u in zip(e.c, k))
+    b = tuple(f.mul(x, f.div(f.mul(k[i], k[i]), f.mul(k[i - 1], k[i + 1])))
+              for i, x in enumerate(e.b, 1))
+    return ExtendedPoint(e.n, f, c, b)
+
+
 class TestExtendedOrbits:
     def test_weight_matrix_shape(self):
         w = extended_weight_matrix(3)
@@ -180,20 +191,21 @@ class TestExtendedOrbits:
 
     def test_extended_action_consistency(self):
         e = point_from_polynomial([1, 3, 5, 1], F7)
-        units = (2, 3, 1, 5)
-        e2 = act_extended(units, e)
-        assert orbit_equal_extended(e, e2)
+        e2 = _translate((2, 3, 1, 5), e)
+        assert e2 != e and orbit_equal_extended(e, e2)
 
     def test_coefficient_invariants(self):
         rng = random.Random(8)
         for _ in range(40):
             n = rng.randint(2, 4)
             c = [F11.of(rng.randint(1, 10)) for _ in range(n + 1)]
-            e = ExtendedPoint(n, F11, tuple(c), (F11.one,) * (n - 1))
+            raw = ExtendedPoint(n, F11, tuple(c), (F11.one,) * (n - 1))
+            e = point_from_polynomial(c, F11)
+            assert e.b == raw.b and orbit_equal_extended(raw, e)
             # geometric rescaling kappa_i = u * r^i fixes all twists
             u, r = rng.randint(1, 10), rng.randint(1, 10)
             units = [F11.mul(u, F11.pow(r, i)) for i in range(n + 1)]
-            assert act_extended(units, e).b == e.b
+            assert _translate(units, raw).b == raw.b
 
     def test_chain_orbit_invariance(self):
         # acting on the point permutes nothing: same degrees, roots scale by
@@ -434,6 +446,49 @@ class TestInvolutiveFibers:
                 if roots == want:
                     direct += 1
             assert involutive_fiber_profile(p) == direct
+
+
+def _normalize_twists_by_weights(p):
+    """Twist normalization on the weight side: solve for the torus element on
+    the b-columns of the weight matrix, then act with it."""
+    f, w, k = p.field, weight_matrix(p.fan), p.fan.rank
+    b_positions = range(k, 2 * k)
+    if any(f.is_zero(p.coords[r]) for r in b_positions):
+        raise ValueError("twist normalization requires all b nonzero")
+    rows = [[w[j, r] for j in range(w.rows)] for r in b_positions]
+    units = solve_units(rows, [f.inv(p.coords[r]) for r in b_positions], f)
+    if units is None:
+        raise ValueError("b-coordinates are not normalizable to 1 over this field")
+    return act(GroupElement(tuple(f.of(u) for u in units)), p)
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestNormalizeTwists:
+    @pytest.mark.parametrize("field", [GF(5), GF(7), GF(13), QQ], ids=str)
+    def test_matches_the_weight_side(self, field):
+        rng = random.Random(40)
+        raised = moved = 0
+        for _ in range(60):
+            fan = build_upsilon(FanFamily("C", rng.randint(1, 3)))
+            if field == QQ:
+                p = make_point(fan, QQ, [Fraction(rng.choice([-3, -1, 1, 2, 4, 9]), rng.randint(1, 4))
+                                         for _ in range(fan.num_rays)])
+            else:
+                p = _random_point(fan, field, rng)
+            got = _outcome(_normalize_twists, p)
+            assert got == _outcome(_normalize_twists_by_weights, p)
+            if isinstance(got, str):
+                raised += 1
+            else:
+                assert got.coords[fan.rank:] == (field.one,) * fan.rank
+                moved += got != p
+        assert raised and moved  # both branches ran
 
 
 class TestParity:

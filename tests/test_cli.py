@@ -561,6 +561,19 @@ class TestPolytopeAndVerify:
         assert code == 0 and payload["ok"] is True
         assert [c["n"] for c in payload["cases"]] == list(range(least, 41))
 
+    @pytest.mark.parametrize("what", ["divisor", "all"])
+    def test_verify_divisor_guard_trips_before_any_case(self, what):
+        proc = run_subprocess(["verify", what, "--n", "101"], 0, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "divisor guard" in proc.stderr
+        assert "N = 101" in proc.stderr and "bound 100" in proc.stderr
+
+    def test_verify_divisor_at_the_guard_bound(self, capsys):
+        code, out = run(capsys, *"verify divisor --n 100 --json".split())
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        assert [c["n"] for c in payload["cases"]] == list(range(2, 101))
+
     def test_verify_chart_size_guard(self, capsys):
         for what in ("cd-disjoint", "hyperplane"):
             code = main(["verify", what, "--n", "15"])
@@ -667,7 +680,7 @@ def test_cli_imports_only_the_standard_library():
 
 FAN_MODULES = {"exact_linalg", "root_fans"}
 POINT_MODULES = FAN_MODULES | {"fields", "orbit_points"}
-POLYTOPE_MODULES = FAN_MODULES | {"fields", "symbolic", "losev_manin"}
+POLYTOPE_MODULES = FAN_MODULES | {"losev_manin"}
 
 _LOADED = (
     "import contextlib, io, sys\n"

@@ -520,21 +520,20 @@ class TestVertexCertificate:
 
 class TestChartSections:
     def test_n2(self):
-        poly = chart_section(2, (1, 2), 1)
-        assert poly.serialize() == "x1 + 1"
+        assert chart_section(2, (1, 2), 1) == {(1,): 1, (0,): 1}  # t_1 + 1
 
     def test_n3(self):
-        poly = chart_section(3, (1, 2, 3), 1)
-        assert poly.serialize() == "x1*x2 + x1 + 1"
+        # t_1 t_2 + t_1 + 1
+        assert chart_section(3, (1, 2, 3), 1) == {(1, 1): 1, (1, 0): 1, (0, 0): 1}
 
     def test_constant_term_and_unit_coefficients(self):
         for n in (2, 3, 4):
             for sigma in itertools.permutations(range(1, n + 1)):
                 for j in range(1, n):
                     poly = chart_section(n, sigma, j)
-                    assert poly.terms[(0,) * (n - 1)] == Fraction(1)
-                    assert all(c == Fraction(1) for c in poly.terms.values())
-                    assert len(poly.terms) == math.comb(n, j)
+                    assert poly[(0,) * (n - 1)] == 1
+                    assert all(c == 1 for c in poly.values())
+                    assert len(poly) == math.comb(n, j)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -546,7 +545,7 @@ class TestChartSections:
     def test_matches_oracle_in_every_chart(self, n):
         for sigma in itertools.permutations(range(1, n + 1)):
             for j in range(1, n):
-                assert chart_section(n, sigma, j) == chart_section_oracle(n, sigma, j)
+                assert chart_section(n, sigma, j) == chart_section_oracle(n, sigma, j).terms
 
 
 class TestChartCertificate:
@@ -804,7 +803,7 @@ class TestSigmaForget:
                 for j in range(1, n):
                     section = chart_section(n, tuple(range(1, n + 1)), j)
                     val = F11.zero
-                    for exp in section.terms:  # every coefficient is 1
+                    for exp in section:  # every coefficient is 1
                         term = F11.one
                         for t, e in zip(ts, exp):
                             term = F11.mul(term, F11.pow(t, e))

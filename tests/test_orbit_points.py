@@ -4,6 +4,7 @@ stabilizers and counts."""
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,18 @@ class TestNondegeneracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             is_nondegenerate(A1, (1,), F7)
+
+    @pytest.mark.parametrize("coords, slot", [((8, 1, 1, 1), "coords[0] = 8"),
+                                              ((1, 1, -1, 1), "coords[2] = -1"),
+                                              ((1, 1, 1, Fraction(1, 2)), "coords[3] = Fraction(1, 2)")])
+    def test_fan_point_refuses_non_canonical_coordinates(self, coords, slot):
+        # 8 is 1 in F_7: a point built from it would read as the chain 1,1,1,1
+        # to chain_from_point, but raise in extended_from_standard
+        with pytest.raises(ValueError, match=re.escape(f"fan point: {slot} is not in canonical form in F7")):
+            FanPoint(A2, F7, coords)
+        reduced = make_point(A2, F7, coords)  # make_point reduces its input
+        assert reduced.coords == tuple(F7.of(c) for c in coords)
+        assert FanPoint(A2, QQ, coords).coords == coords  # every rational is canonical in Q
 
 
 class TestAction:
