@@ -9,6 +9,10 @@ its degree-n! fiber analysis, and handle the involutive (type B/C) variants
 by palindromic duplication of coordinates.
 
 Polynomial coefficient lists are ascending: ``c[r]`` multiplies ``t**r``.
+A chain's component polynomials hold field elements, but their roots,
+multiplicities, squarefreeness and parity are found by one kernel on int
+lists over Z/p, with p = 0 meaning Z: rational coefficients are first
+cleared of their denominators.
 """
 
 from __future__ import annotations
@@ -26,64 +30,37 @@ from .root_fans import FanFamily, build_upsilon, sigma_subsets
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers
+# Univariate polynomials: int lists over Z/p, p = 0 meaning Z
 # ---------------------------------------------------------------------------
 
 
-def poly_trim(c: Sequence[Element], field: Field) -> List[Element]:
-    out = list(c)
-    while out and field.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def poly_mul(a: Sequence[Element], b: Sequence[Element], field: Field) -> List[Element]:
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return poly_trim(out, field)
-
-
-def poly_divmod(
-    num: Sequence[Element], den: Sequence[Element], field: Field
-) -> Tuple[List[Element], List[Element]]:
-    den = poly_trim(den, field)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    deg_d = len(den) - 1
-    lead_inv = field.inv(den[-1])
-    quot = [field.zero] * max(0, len(rem) - deg_d)
-    for i in range(len(rem) - 1, deg_d - 1, -1):
-        coeff = field.mul(rem[i], lead_inv)
-        if field.is_zero(coeff):
-            continue
-        quot[i - deg_d] = coeff
-        for j, d in enumerate(den):
-            rem[i - deg_d + j] = field.sub(rem[i - deg_d + j], field.mul(coeff, d))
-    return poly_trim(quot, field), poly_trim(rem, field)
-
-
 def poly_from_roots(roots: Sequence[Element], field: Field) -> List[Element]:
+    """The monic product of t - r over the roots, with coefficients in the field."""
     out = [field.one]
     for r in roots:
-        out = poly_mul(out, [field.neg(r), field.one], field)
+        s = field.neg(r)
+        out = [
+            field.add(x, field.mul(s, y)) for x, y in zip([field.zero, *out], [*out, field.zero])
+        ]
     return out
 
 
-def root_multiplicity(c: Sequence[Element], r: Element, field: Field) -> int:
-    mult, cur = 0, poly_trim(c, field)
-    while cur:
-        quot, rem = poly_divmod(cur, [field.neg(r), field.one], field)
-        if rem:
+def _root_multiplicity(a: Sequence[int], r: int, p: int) -> int:
+    """How often t - r divides a, whose top coefficient is a unit, over Z/p
+    with p = 0 meaning Z: synthetic division while the remainder a(r), the
+    last Horner value, is zero."""
+    m, a = 0, list(a)
+    while len(a) > 1:
+        acc, q = 0, []
+        for x in reversed(a):
+            acc = acc * r + x
+            if p:
+                acc %= p
+            q.append(acc)
+        if q.pop():
             break
-        mult, cur = mult + 1, quot
-    return mult
+        m, a = m + 1, q[::-1]
+    return m
 
 
 def _monic(a: Sequence[int], p: int) -> List[int]:
@@ -182,7 +159,8 @@ def unit_root_multiplicities(
     shifted powerings (Cantor-Zassenhaus; von zur Gathen-Gerhard, *Modern
     Computer Algebra*, ch. 14).  A powering costs O(d^2 log p) operations on
     ints for degree d; a quadratic factor costs one square root mod p.
-    Synthetic division gives the multiplicities."""
+    Synthetic division by each t - r (:func:`_root_multiplicity`, which
+    :func:`parity_component` shares) gives the multiplicities."""
     p = field.p
     f = _monic(c, p)
     if not f:
@@ -194,13 +172,7 @@ def unit_root_multiplicities(
     else:  # h = 1 at the squares and -1 at the other units
         h = _power(0, (p - 1) // 2, f, p)
         roots = [r for s in (-1, 1) for r in _distinct_roots(_gcd(f, [h[0] + s, *h[1:]], p), p, 1)]
-    mults = dict.fromkeys(sorted(roots), 0)
-    for r in mults:
-        q, rem = _divmod_monic(f, [p - r, 1], p)
-        while not rem[0]:
-            f, mults[r] = q, mults[r] + 1
-            q, rem = _divmod_monic(f, [p - r, 1], p)
-    return mults
+    return {r: _root_multiplicity(f, r, p) for r in sorted(roots)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +260,11 @@ def chain_from_point(p: FanPoint) -> ChainModel:
     for lo, hi in zip(bounds, bounds[1:]):
         deg = hi - lo
         coeffs = []
-        beta = f.one
+        beta = step = f.one
         for r in range(deg + 1):
             if r >= 2:
                 # beta_r / beta_{r-1} = prod_{s=1}^{r-1} b_{lo+s}
-                step = f.one
-                for s in range(1, r):
-                    step = f.mul(step, b[lo + s - 1])
+                step = f.mul(step, b[lo + r - 2])
                 beta = f.mul(beta, step)
             coeffs.append(f.mul(a_ext[lo + r], beta))
         degrees.append(deg)
@@ -716,8 +686,12 @@ def parity_component(coeffs: Sequence, field: Field) -> str:
         raise ValueError("coefficients are neither palindromic nor anti-palindromic")
     if field.is_zero(c[0]):
         raise ValueError("zero end coefficient")
-    m_plus = root_multiplicity(c, field.one, field)
-    m_minus = root_multiplicity(c, field.neg(field.one), field)
+    if isinstance(field, PrimeField):
+        ints, p = c, field.p
+    else:  # over Z: scaling by the common denominator keeps every multiplicity
+        den = math.lcm(*(x.denominator for x in c))
+        ints, p = [x.numerator * (den // x.denominator) for x in c], 0
+    m_plus, m_minus = _root_multiplicity(ints, 1, p), _root_multiplicity(ints, -1, p)
     if anti:
         # The symmetric factor t^2 - 1 forces odd multiplicities here.
         assert m_plus % 2 == 1 and m_minus % 2 == 1

@@ -2,8 +2,10 @@
 
 Every computation in this package is exact.  Rational arithmetic is done with
 ``fractions.Fraction``; prime-field elements are stored as canonical integer
-representatives in ``range(p)``.  A field object carries the arithmetic so
-that polynomial, orbit and chain code can stay field-agnostic.
+representatives in ``range(p)``.  A field object carries the arithmetic of
+single elements, so that orbit and chain code can stay field-agnostic.
+Polynomials are not built on it: ``chains`` computes with univariate int
+lists over Z/p, with p = 0 meaning Z.
 
 Prime fields are restricted to p < 2**31; intermediate products are ordinary
 Python integers, so reduction never overflows.
@@ -55,9 +57,6 @@ class Field:
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
         raise NotImplementedError
 
     def mul(self, a, b):
@@ -123,9 +122,6 @@ class RationalField(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -180,9 +176,6 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

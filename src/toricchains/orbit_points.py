@@ -150,14 +150,9 @@ def _primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-_DLOG_CACHE: Dict[int, _DlogContext] = {}
-
-
+@lru_cache(maxsize=None)
 def _dlog_context(field: PrimeField) -> _DlogContext:
-    ctx = _DLOG_CACHE.get(field.p)
-    if ctx is None:
-        ctx = _DLOG_CACHE[field.p] = _DlogContext(field)
-    return ctx
+    return _DlogContext(field)
 
 
 def _rational_factor_data(values: Sequence[Fraction]):

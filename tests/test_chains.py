@@ -14,6 +14,7 @@ from toricchains.chains import (
     ChainModel,
     _nth_roots,
     _reversal_related,
+    _root_multiplicity,
     ExtendedPoint,
     _normalize_twists,
     b_point_embed,
@@ -30,11 +31,7 @@ from toricchains.chains import (
     orbit_equal_extended,
     parity_component,
     point_from_polynomial,
-    poly_divmod,
     poly_from_roots,
-    poly_mul,
-    poly_trim,
-    root_multiplicity,
     unit_root_multiplicities,
 )
 from toricchains.fields import GF, QQ
@@ -55,6 +52,57 @@ C1 = build_upsilon(FanFamily("C", 1))
 C2 = build_upsilon(FanFamily("C", 2))
 B2 = build_upsilon(FanFamily("Bcan", 2))
 Cm2 = build_upsilon(FanFamily("Cminus", 2))
+
+
+# Field-generic univariate arithmetic, the ground of the oracles below: the
+# library computes on int lists over Z/p instead.
+
+
+def poly_trim(c, field):
+    out = list(c)
+    while out and field.is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def poly_mul(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if field.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return poly_trim(out, field)
+
+
+def poly_divmod(num, den, field):
+    den = poly_trim(den, field)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(num)
+    deg_d = len(den) - 1
+    lead_inv = field.inv(den[-1])
+    quot = [field.zero] * max(0, len(rem) - deg_d)
+    for i in range(len(rem) - 1, deg_d - 1, -1):
+        coeff = field.mul(rem[i], lead_inv)
+        if field.is_zero(coeff):
+            continue
+        quot[i - deg_d] = coeff
+        for j, d in enumerate(den):
+            rem[i - deg_d + j] = field.add(rem[i - deg_d + j], field.neg(field.mul(coeff, d)))
+    return poly_trim(quot, field), poly_trim(rem, field)
+
+
+def root_multiplicity(c, r, field):
+    mult, cur = 0, poly_trim(c, field)
+    while cur:
+        quot, rem = poly_divmod(cur, [field.neg(r), field.one], field)
+        if rem:
+            break
+        mult, cur = mult + 1, quot
+    return mult
 
 
 def _random_point(fan, field, rng, all_b_nonzero=False):
@@ -519,6 +567,69 @@ class TestParity:
         with pytest.raises(ValueError):
             parity_component([1, 2, 3], QQ)
 
+    @staticmethod
+    def _spy_multiplicities(monkeypatch):
+        seen = []
+        kernel = chains._root_multiplicity
+        monkeypatch.setattr(
+            chains, "_root_multiplicity", lambda *args: seen.append(kernel(*args)) or seen[-1]
+        )
+        return seen
+
+    @staticmethod
+    def _oracle(c, field):
+        return [root_multiplicity(c, r, field) for r in (field.one, field.neg(field.one))]
+
+    @pytest.mark.parametrize("scale, factors, want, mults", [
+        # (1/2)(t^2 - 1)^2
+        (Fraction(1, 2), [[-1, 0, 1]] * 2, "+", [2, 2]),
+        # -(5/6)(t^2 - 1)(t - 1)^2: anti-palindromic
+        (Fraction(-5, 6), [[-1, 0, 1], [1, -2, 1]], "-", [3, 1]),
+        # (10^30 + 1)/(10^20 + 3) (t - 1)^4 (t^2 + 3t + 1)
+        (Fraction(10**30 + 1, 10**20 + 3), [[1, -2, 1]] * 2 + [[1, 3, 1]], "+", [4, 0]),
+        # (7/12)(t^2 - 1)^3 (t + 1)^2 (t^2 - t/2 + 1)
+        (Fraction(7, 12), [[-1, 0, 1]] * 3 + [[1, 2, 1], [1, Fraction(-1, 2), 1]], "-", [3, 5]),
+    ])
+    def test_rational_coefficients(self, monkeypatch, scale, factors, want, mults):
+        c = [scale]
+        for factor in factors:
+            c = poly_mul(c, [QQ.of(x) for x in factor], QQ)
+        seen = self._spy_multiplicities(monkeypatch)
+        assert parity_component(c, QQ) == want
+        assert seen == self._oracle(c, QQ) == mults
+
+    def test_numerators_alone_miscount(self):
+        # The cases above need the common denominator: (1/2)(t^2 - 1)^2 read
+        # by its numerators is t^4 - t^2 + 1, which vanishes at neither 1 nor -1.
+        c = poly_mul([QQ.of(Fraction(1, 2))], poly_mul([-1, 0, 1], [-1, 0, 1], QQ), QQ)
+        assert [_root_multiplicity([x.numerator for x in c], r, 0) for r in (1, -1)] == [0, 0]
+        assert self._oracle(c, QQ) == [2, 2]
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), F101], ids=lambda f: f.name)
+    def test_seeded_symmetric_products_match_the_oracle(self, monkeypatch, field):
+        rng = random.Random(field.name)
+        seen = self._spy_multiplicities(monkeypatch)
+        tags = set()
+        for _ in range(150):
+            half = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 4)]
+            c = [field.of(x) for x in half + half[-2::-1]]
+            for factor in [[1, -2, 1]] * rng.randint(0, 2) + [[1, 2, 1]] * rng.randint(0, 2):
+                c = poly_mul(c, [field.of(x) for x in factor], field)
+            if rng.random() < 0.5:
+                c = poly_mul(c, [field.of(x) for x in (-1, 0, 1)], field)
+            if field == QQ:
+                scale = Fraction(rng.choice([1, -3, 10**25 + 7]), rng.choice([1, 2, 9, 10**18 + 9]))
+                c = [x * scale for x in c]
+            if len(c) < 3 or field.is_zero(c[0]):
+                continue
+            seen.clear()
+            tag = parity_component(c, field)
+            mults = self._oracle(c, field)
+            assert seen == mults, (field, c)
+            assert tag == ("+" if mults[0] % 2 == 0 and mults[1] % 2 == 0 else "-")
+            tags.add(tag)
+        assert tags == {"+", "-"}
+
     def test_involutive_chain_model(self):
         coeffs = poly_from_roots([F11.of(r) for r in (2, 6, 3, 4)], F11)
         p = make_point(C2, F11, [coeffs[1], coeffs[2], 1, 1])
@@ -621,7 +732,7 @@ def pow_minus_one(base, e, mod, field):
         e >>= 1
         if e:
             base = poly_divmod(poly_mul(base, base, field), mod, field)[1]
-    h[0] = field.sub(h[0], field.one)
+    h[0] = field.add(h[0], field.neg(field.one))
     return poly_trim(h, field)
 
 
@@ -748,6 +859,22 @@ class TestRootKernel:
             chain = ChainModel(field, len(c) - 1, (len(c) - 1,), (tuple(c),))
             repeated = len(poly_gcd(c, poly_derivative(c, field), field)) > 1
             assert fiber_profile_of_chain(chain).is_ramified == repeated, (p, c)
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 101, 2**31 - 1])
+    def test_root_multiplicity_matches_the_field_generic_oracle(self, p):
+        # (t - 1)^a (t + 1)^b times a random cofactor, over Z for p = 0
+        field, rng = (GF(p) if p else QQ), random.Random(p)
+        for _ in range(120):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            c = [field.of(rng.randint(-9, 9)) for _ in range(rng.randint(0, 3))]
+            c = poly_trim(c + [field.of(rng.choice([-2, 1, 3]))], field) or [field.one]
+            for factor in [[-1, 1]] * a + [[1, 1]] * b:
+                c = poly_mul(c, [field.of(x) for x in factor], field)
+            ints = [int(x) for x in c]
+            for r in (1, -1, 2, -3, 0):
+                want = root_multiplicity(c, field.of(r), field)
+                assert _root_multiplicity(ints, r, p) == want, (p, c, r)
+            assert _root_multiplicity(ints, 1, p) >= a and _root_multiplicity(ints, -1, p) >= b
 
     @staticmethod
     def _count_powerings(monkeypatch):
