@@ -14,8 +14,56 @@ chain or polytope code.
 """
 
 import importlib
+import operator
 
 __version__ = "0.1.0"
+
+
+class _Frozen:
+    """Base of the immutable value types (fans, matrices, points, chains).
+
+    A subclass names its fields in ``__slots__``, in order, with
+    ``"__dict__"`` added where a cached property needs one, and its
+    ``__init__`` stores them with :data:`_set_field`.  Its instances are
+    values: assigning or deleting any attribute raises ``AttributeError``;
+    two instances are equal when they have the same type and equal fields,
+    and hash as the tuple of their fields; the repr is ``Type(field=value,
+    ...)``; and pickle and ``copy.deepcopy`` rebuild an instance by calling
+    the type on its fields, so the ``__init__`` checks run again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        get = operator.attrgetter(*cls._fields)
+        # the getter of one name returns its value, not a 1-tuple
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+# sets a field past the raising __setattr__, in a value type's __init__
+_set_field = object.__setattr__
 
 # submodule -> the public names it provides
 _EXPORTS = {

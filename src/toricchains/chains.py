@@ -10,19 +10,18 @@ by palindromic duplication of coordinates.
 
 Polynomial coefficient lists are ascending: ``c[r]`` multiplies ``t**r``.
 A chain's component polynomials hold field elements, but their roots,
-multiplicities, squarefreeness and parity are found by one kernel on int
-lists over Z/p, with p = 0 meaning Z: rational coefficients are first
-cleared of their denominators.
+multiplicities and squarefreeness are found by one kernel on int lists over
+F_p.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from . import _Frozen, _set_field
 from .exact_linalg import IntMatrix
 from .fields import Element, Field, PrimeField
 from .orbit_points import FanPoint, is_nondegenerate, make_point, solve_units
@@ -30,7 +29,7 @@ from .root_fans import FanFamily, build_upsilon, sigma_subsets
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials: int lists over Z/p, p = 0 meaning Z
+# Univariate polynomials: int lists over F_p
 # ---------------------------------------------------------------------------
 
 
@@ -46,16 +45,14 @@ def poly_from_roots(roots: Sequence[Element], field: Field) -> List[Element]:
 
 
 def _root_multiplicity(a: Sequence[int], r: int, p: int) -> int:
-    """How often t - r divides a, whose top coefficient is a unit, over Z/p
-    with p = 0 meaning Z: synthetic division while the remainder a(r), the
-    last Horner value, is zero."""
+    """How often t - r divides a, whose top coefficient is a unit, over F_p:
+    synthetic division while the remainder a(r), the last Horner value, is
+    zero."""
     m, a = 0, list(a)
     while len(a) > 1:
         acc, q = 0, []
         for x in reversed(a):
-            acc = acc * r + x
-            if p:
-                acc %= p
+            acc = (acc * r + x) % p
             q.append(acc)
         if q.pop():
             break
@@ -159,8 +156,8 @@ def unit_root_multiplicities(
     shifted powerings (Cantor-Zassenhaus; von zur Gathen-Gerhard, *Modern
     Computer Algebra*, ch. 14).  A powering costs O(d^2 log p) operations on
     ints for degree d; a quadratic factor costs one square root mod p.
-    Synthetic division by each t - r (:func:`_root_multiplicity`, which
-    :func:`parity_component` shares) gives the multiplicities."""
+    Synthetic division by each t - r (:func:`_root_multiplicity`) gives the
+    multiplicities."""
     p = field.p
     f = _monic(c, p)
     if not f:
@@ -180,8 +177,7 @@ def unit_root_multiplicities(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainModel:
+class ChainModel(_Frozen):
     """A chain of projective lines carrying a finite subscheme.
 
     Component k has degree ``component_degrees[k]`` and its part of the
@@ -190,29 +186,36 @@ class ChainModel:
     subscheme misses the poles and the nodes.
     """
 
-    field: Field
-    total_degree: int
-    component_degrees: Tuple[int, ...]
-    component_polys: Tuple[Tuple[Element, ...], ...]
+    __slots__ = ("field", "total_degree", "component_degrees", "component_polys")
 
-    def __post_init__(self):
-        if len(self.component_degrees) != len(self.component_polys):
+    def __init__(
+        self,
+        field: Field,
+        total_degree: int,
+        component_degrees: Tuple[int, ...],
+        component_polys: Tuple[Tuple[Element, ...], ...],
+    ):
+        if len(component_degrees) != len(component_polys):
             raise ValueError("one polynomial per component required")
-        if not self.component_degrees:
+        if not component_degrees:
             raise ValueError("a chain has at least one component")
-        if sum(self.component_degrees) != self.total_degree:
+        if sum(component_degrees) != total_degree:
             raise ValueError("component degrees must sum to the total degree")
-        for k, poly in enumerate(self.component_polys):
-            self.field.check_canonical(f"chain model: component_polys[{k}]", poly)
-        for deg, poly in zip(self.component_degrees, self.component_polys):
+        for k, poly in enumerate(component_polys):
+            field.check_canonical(f"chain model: component_polys[{k}]", poly)
+        for deg, poly in zip(component_degrees, component_polys):
             if deg < 1:
                 raise ValueError("component degrees must be >= 1")
             if len(poly) != deg + 1:
                 raise ValueError("component polynomial has wrong degree")
-            if self.field.is_zero(poly[0]) or self.field.is_zero(poly[-1]):
+            if field.is_zero(poly[0]) or field.is_zero(poly[-1]):
                 raise ValueError(
                     "subscheme meets a pole or node: zero constant or leading coefficient"
                 )
+        _set_field(self, "field", field)
+        _set_field(self, "total_degree", total_degree)
+        _set_field(self, "component_degrees", component_degrees)
+        _set_field(self, "component_polys", component_polys)
 
     @property
     def num_components(self) -> int:
@@ -297,27 +300,26 @@ def extended_weight_matrix(n: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class ExtendedPoint:
+class ExtendedPoint(_Frozen):
     """A coefficient tuple c_0..c_n with twists b_1..b_{n-1}, acted on by the
     full rank-(n+1) torus (no normalization of the end coefficients)."""
 
-    n: int
-    field: Field
-    c: Tuple[Element, ...]
-    b: Tuple[Element, ...]
+    __slots__ = ("n", "field", "c", "b")
 
-    def __post_init__(self):
-        if len(self.c) != self.n + 1 or len(self.b) != self.n - 1:
+    def __init__(self, n: int, field: Field, c: Tuple[Element, ...], b: Tuple[Element, ...]):
+        if len(c) != n + 1 or len(b) != n - 1:
             raise ValueError("extended point has n+1 coefficients and n-1 twists")
-        f = self.field
-        f.check_canonical("extended point: c", self.c)
-        f.check_canonical("extended point: b", self.b)
-        if f.is_zero(self.c[0]) or f.is_zero(self.c[-1]):
+        field.check_canonical("extended point: c", c)
+        field.check_canonical("extended point: b", b)
+        if field.is_zero(c[0]) or field.is_zero(c[-1]):
             raise ValueError("end coefficients must be nonzero")
-        for i in range(1, self.n):
-            if f.is_zero(self.c[i]) and f.is_zero(self.b[i - 1]):
+        for i in range(1, n):
+            if field.is_zero(c[i]) and field.is_zero(b[i - 1]):
                 raise ValueError(f"degenerate extended point at index {i}")
+        _set_field(self, "n", n)
+        _set_field(self, "field", field)
+        _set_field(self, "c", c)
+        _set_field(self, "b", b)
 
     def coords(self) -> Tuple[Element, ...]:
         return self.c + self.b
@@ -495,11 +497,18 @@ def sigma_forget(p: FanPoint) -> ExtendedPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberProfile:
-    rational_ordered_preimages: int
-    multiplicity_profile: Tuple[Tuple[int, ...], ...]
-    is_ramified: bool
+class FiberProfile(_Frozen):
+    __slots__ = ("rational_ordered_preimages", "multiplicity_profile", "is_ramified")
+
+    def __init__(
+        self,
+        rational_ordered_preimages: int,
+        multiplicity_profile: Tuple[Tuple[int, ...], ...],
+        is_ramified: bool,
+    ):
+        _set_field(self, "rational_ordered_preimages", rational_ordered_preimages)
+        _set_field(self, "multiplicity_profile", multiplicity_profile)
+        _set_field(self, "is_ramified", is_ramified)
 
     def to_dict(self) -> dict:
         return {
@@ -673,6 +682,11 @@ def parity_component(coeffs: Sequence, field: Field) -> str:
     ``+`` when the multiplicities of the roots 1 and -1 are both even,
     ``-`` otherwise.  Inputs must be palindromic or anti-palindromic;
     characteristic 2 is not supported (the two fixed points collide there).
+
+    The symmetry fixes the answer: ``+`` for a palindrome, ``-`` for an
+    anti-palindrome.  Let rev c = s c and c = (t - r)^k h, r = +-1, h(r) != 0.
+    As rev(t - r) = -r (t - r), (-r)^k rev h = s h; at t = r, where
+    (rev h)(r) = r^(2n-k) h(r), this reads (-1)^k h(r) = s h(r): (-1)^k = s.
     """
     if isinstance(field, PrimeField) and field.p == 2:
         raise ValueError("parity is undefined in characteristic 2")
@@ -686,17 +700,7 @@ def parity_component(coeffs: Sequence, field: Field) -> str:
         raise ValueError("coefficients are neither palindromic nor anti-palindromic")
     if field.is_zero(c[0]):
         raise ValueError("zero end coefficient")
-    if isinstance(field, PrimeField):
-        ints, p = c, field.p
-    else:  # over Z: scaling by the common denominator keeps every multiplicity
-        den = math.lcm(*(x.denominator for x in c))
-        ints, p = [x.numerator * (den // x.denominator) for x in c], 0
-    m_plus, m_minus = _root_multiplicity(ints, 1, p), _root_multiplicity(ints, -1, p)
-    if anti:
-        # The symmetric factor t^2 - 1 forces odd multiplicities here.
-        assert m_plus % 2 == 1 and m_minus % 2 == 1
-        return "-"
-    return "+" if m_plus % 2 == 0 and m_minus % 2 == 0 else "-"
+    return "+" if palindromic else "-"
 
 
 def _reversal_related(p: Sequence[Element], q: Sequence[Element], field: Field) -> bool:
@@ -716,23 +720,23 @@ def _reversal_related(p: Sequence[Element], q: Sequence[Element], field: Field) 
     return solve_units([[1, r] for r in nonzero], targets, field) is not None
 
 
-@dataclass(frozen=True)
-class InvolutiveChainModel:
+class InvolutiveChainModel(_Frozen):
     """A chain model symmetric under reversal, with a parity tag in the
     even-degree case."""
 
-    base: ChainModel
-    parity: Optional[str]
+    __slots__ = ("base", "parity")
 
-    def __post_init__(self):
-        degrees = self.base.component_degrees
+    def __init__(self, base: ChainModel, parity: Optional[str]):
+        degrees = base.component_degrees
         if degrees != tuple(reversed(degrees)):
             raise ValueError("component degrees must form a palindrome")
-        polys = self.base.component_polys
+        polys = base.component_polys
         m = len(polys)
         for k in range((m + 1) // 2):
-            if not _reversal_related(polys[k], polys[m - 1 - k], self.base.field):
+            if not _reversal_related(polys[k], polys[m - 1 - k], base.field):
                 raise ValueError("component polynomials are not reversal-related")
+        _set_field(self, "base", base)
+        _set_field(self, "parity", parity)
 
 
 def involutive_chain_from_point(p: FanPoint) -> InvolutiveChainModel:

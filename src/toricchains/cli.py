@@ -22,10 +22,9 @@ import contextlib
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from . import root_fans
+from . import _Frozen, _set_field, root_fans
 
 if TYPE_CHECKING:
     from .orbit_points import FanPoint
@@ -404,12 +403,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if ok else VERIFY_FAILURE
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(_Frozen):
     """Exit status plus the parsed JSON payload of one invocation."""
 
-    status: int
-    payload: object
+    __slots__ = ("status", "payload")
+
+    def __init__(self, status: int, payload: object):
+        _set_field(self, "status", status)
+        _set_field(self, "payload", payload)
 
 
 def run(argv: List[str]) -> CommandResult:

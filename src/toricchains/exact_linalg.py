@@ -18,24 +18,25 @@ reduced into ``[0, pivot)``) so that serialized output is bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import _Frozen, _set_field
 
-@dataclass(frozen=True)
-class IntMatrix:
+
+class IntMatrix(_Frozen):
     """Immutable dense integer matrix, row-major."""
 
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: Tuple[int, ...]):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(isinstance(e, int) for e in entries):
             raise TypeError("entries must be Python ints")
+        _set_field(self, "rows", rows)
+        _set_field(self, "cols", cols)
+        _set_field(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -98,13 +99,15 @@ class IntMatrix:
         return sign * d if len(pivots) == self.rows else 0
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(_Frozen):
     """Certified Smith decomposition: U*A*V = diag(d), U and V unimodular."""
 
-    d: Tuple[int, ...]
-    U: IntMatrix
-    V: IntMatrix
+    __slots__ = ("d", "U", "V")
+
+    def __init__(self, d: Tuple[int, ...], U: IntMatrix, V: IntMatrix):
+        _set_field(self, "d", d)
+        _set_field(self, "U", U)
+        _set_field(self, "V", V)
 
     @property
     def rank(self) -> int:
@@ -128,23 +131,23 @@ class SmithForm:
         return [xi % modulus for xi in x] if modulus else x
 
 
-@dataclass(frozen=True)
-class FinDiagGroupDesc:
+class FinDiagGroupDesc(_Frozen):
     """A finitely generated diagonalizable group: Z^free_rank x prod Z/d_i.
 
     ``torsion`` entries are > 1 and form a divisibility chain.  The group is
     finite exactly when ``free_rank`` is zero.
     """
 
-    free_rank: int
-    torsion: Tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if any(t <= 1 for t in self.torsion):
+    def __init__(self, free_rank: int, torsion: Tuple[int, ...]):
+        if any(t <= 1 for t in torsion):
             raise ValueError("torsion entries must be > 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion entries must form a divisibility chain")
+        _set_field(self, "free_rank", free_rank)
+        _set_field(self, "torsion", torsion)
 
     @property
     def is_finite(self) -> bool:

@@ -5,7 +5,7 @@ Every computation in this package is exact.  Rational arithmetic is done with
 representatives in ``range(p)``.  A field object carries the arithmetic of
 single elements, so that orbit and chain code can stay field-agnostic.
 Polynomials are not built on it: ``chains`` computes with univariate int
-lists over Z/p, with p = 0 meaning Z.
+lists over F_p.
 
 Prime fields are restricted to p < 2**31; intermediate products are ordinary
 Python integers, so reduction never overflows.

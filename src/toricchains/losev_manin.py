@@ -39,9 +39,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
+
+from . import _Frozen, _set_field
 
 Exponent = Tuple[int, ...]
 
@@ -123,20 +124,20 @@ def extreme_points(dim: int, points: Sequence[Sequence[int]]) -> List[Tuple[int,
     return list(LatticePolytope.from_points(dim, points).vertices) if points else []
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(_Frozen):
     """A generalized permutohedron stored by its cut vector cuts[S] = max_P 1_S
     over the bitmasks S of {0..ambient_dim}, the points read in full
     coordinates (a, -sum a).  The cut vector is submodular, vanishes on the
     empty set and on the whole set, and determines the polytope."""
 
-    ambient_dim: int
-    cuts: Tuple[int, ...]
+    __slots__ = ("ambient_dim", "cuts", "__dict__")  # the dict holds the cached vertices
 
-    def __post_init__(self):
-        _check_dim(self.ambient_dim)
-        if len(self.cuts) != 2 ** (self.ambient_dim + 1) or self.cuts[0] or self.cuts[-1]:
-            raise ValueError(f"not the cut vector of a polytope in dimension {self.ambient_dim}")
+    def __init__(self, ambient_dim: int, cuts: Tuple[int, ...]):
+        _check_dim(ambient_dim)
+        if len(cuts) != 2 ** (ambient_dim + 1) or cuts[0] or cuts[-1]:
+            raise ValueError(f"not the cut vector of a polytope in dimension {ambient_dim}")
+        _set_field(self, "ambient_dim", ambient_dim)
+        _set_field(self, "cuts", cuts)
 
     @staticmethod
     def from_points(dim: int, points: Sequence[Sequence[int]]) -> "LatticePolytope":
@@ -272,16 +273,23 @@ def _relabel(sigma: Sequence[int], exp: Exponent) -> Exponent:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChartData:
+class ChartData(_Frozen):
     """Exponent vectors over x_1..x_n that the chart sigma contributes to the
     section identities: the denominators x_{sigma(1..k)} (k = 0..n), the
     chart coordinates t_i = x_{sigma(i+1)}/x_{sigma(i)} (i = 1..n-1), and the
     factors y_k of the hyperplane sum at the marked index i (y[i-1][k])."""
 
-    denominators: Tuple[Exponent, ...]
-    coordinates: Tuple[Exponent, ...]
-    y: Tuple[Tuple[Exponent, ...], ...]
+    __slots__ = ("denominators", "coordinates", "y")
+
+    def __init__(
+        self,
+        denominators: Tuple[Exponent, ...],
+        coordinates: Tuple[Exponent, ...],
+        y: Tuple[Tuple[Exponent, ...], ...],
+    ):
+        _set_field(self, "denominators", denominators)
+        _set_field(self, "coordinates", coordinates)
+        _set_field(self, "y", y)
 
     def relabel(self, sigma: Sequence[int]) -> "ChartData":
         return ChartData(

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _Frozen, _set_field
 from .exact_linalg import FinDiagGroupDesc, IntMatrix, SmithForm, _augment, _hermite, snf, solve_mod
 from .fields import Element, Field, PrimeField, RationalField, _is_prime_power, _prime_factors
 from .root_fans import StackyFan, face_partition, fan_faces, weight_matrix
@@ -38,18 +38,18 @@ _DLOG_TABLE_BOUND = 200_003
 _ORBIT_COUNT_BOUND = 10**5
 
 
-@dataclass(frozen=True)
-class FanPoint:
+class FanPoint(_Frozen):
     """A field-valued point: one coordinate per ray of the fan."""
 
-    fan: StackyFan
-    field: Field
-    coords: Tuple[Element, ...]
+    __slots__ = ("fan", "field", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.fan.num_rays:
+    def __init__(self, fan: StackyFan, field: Field, coords: Tuple[Element, ...]):
+        if len(coords) != fan.num_rays:
             raise ValueError("one coordinate per ray required")
-        self.field.check_canonical("fan point: coords", self.coords)
+        field.check_canonical("fan point: coords", coords)
+        _set_field(self, "fan", fan)
+        _set_field(self, "field", field)
+        _set_field(self, "coords", coords)
 
     def support(self) -> Tuple[int, ...]:
         return tuple(
@@ -64,11 +64,13 @@ class FanPoint:
         return tuple(self.field.sort_key(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Frozen):
     """An element of the acting torus: one unit per free generator."""
 
-    units: Tuple[Element, ...]
+    __slots__ = ("units",)
+
+    def __init__(self, units: Tuple[Element, ...]):
+        _set_field(self, "units", units)
 
 
 def make_point(fan: StackyFan, field: Field, coords: Sequence) -> FanPoint:

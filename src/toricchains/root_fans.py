@@ -18,10 +18,10 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _Frozen, _set_field
 from .exact_linalg import (
     FinDiagGroupDesc,
     IntMatrix,
@@ -35,27 +35,26 @@ FAMILY_TAGS = ("A", "B", "Bcan", "C", "Cminus", "SigmaA")
 _CONE_GUARD = 2**14
 
 
-@dataclass(frozen=True)
-class FanFamily:
+class FanFamily(_Frozen):
     """A named fan construction together with its rank parameter."""
 
-    tag: str
-    n: int
+    __slots__ = ("tag", "n")
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        if self.n < 1:
+    def __init__(self, tag: str, n: int):
+        if tag not in FAMILY_TAGS:
+            raise ValueError(f"unknown family tag {tag!r}")
+        if n < 1:
             raise ValueError("rank parameter must be >= 1")
-        if self.tag == "Cminus" and self.n < 2:
+        if tag == "Cminus" and n < 2:
             # n = 1 would be the zero-dimensional group-only case.
             raise ValueError("the C-minus variant requires n >= 2")
-        if self.tag == "SigmaA" and self.n < 2:
+        if tag == "SigmaA" and n < 2:
             raise ValueError("the permutohedral fan requires n >= 2")
+        _set_field(self, "tag", tag)
+        _set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(_Frozen):
     """Rays with chosen integer generators plus maximal-cone combinatorics.
 
     ``rays[i]`` is the generator of ray i; ``beta`` is the rank x #rays
@@ -63,26 +62,34 @@ class StackyFan:
     sorted tuples of ray indices.
     """
 
-    rank: int
-    rays: Tuple[Tuple[int, ...], ...]
-    ray_labels: Tuple[str, ...]
-    max_cones: Tuple[Tuple[int, ...], ...]
-    family: Optional[FanFamily] = None
+    __slots__ = ("rank", "rays", "ray_labels", "max_cones", "family")
 
-    def __post_init__(self):
-        if len(self.rays) != len(self.ray_labels):
+    def __init__(
+        self,
+        rank: int,
+        rays: Tuple[Tuple[int, ...], ...],
+        ray_labels: Tuple[str, ...],
+        max_cones: Tuple[Tuple[int, ...], ...],
+        family: Optional[FanFamily] = None,
+    ):
+        if len(rays) != len(ray_labels):
             raise ValueError("one label per ray required")
-        for v in self.rays:
-            if len(v) != self.rank:
+        for v in rays:
+            if len(v) != rank:
                 raise ValueError("ray dimension mismatch")
             if all(x == 0 for x in v):
                 raise ValueError("zero vector cannot generate a ray")
-        for cone in self.max_cones:
+        for cone in max_cones:
             if not all(map(operator.lt, cone, cone[1:])):
                 raise ValueError("cone ray indices must be sorted and distinct")
             # strictly increasing, so its ends bound every index
-            if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
+            if cone and not (0 <= cone[0] and cone[-1] < len(rays)):
                 raise ValueError("cone ray index out of range")
+        _set_field(self, "rank", rank)
+        _set_field(self, "rays", rays)
+        _set_field(self, "ray_labels", ray_labels)
+        _set_field(self, "max_cones", max_cones)
+        _set_field(self, "family", family)
 
     @property
     def num_rays(self) -> int:
@@ -437,12 +444,14 @@ def cone_contains(fan: StackyFan, cone: Sequence[int], vector: Sequence[int]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FanReport:
-    simplicial: bool
-    pure: bool
-    wall_condition: bool
-    complete: bool
+class FanReport(_Frozen):
+    __slots__ = ("simplicial", "pure", "wall_condition", "complete")
+
+    def __init__(self, simplicial: bool, pure: bool, wall_condition: bool, complete: bool):
+        _set_field(self, "simplicial", simplicial)
+        _set_field(self, "pure", pure)
+        _set_field(self, "wall_condition", wall_condition)
+        _set_field(self, "complete", complete)
 
     @property
     def all_ok(self) -> bool:

@@ -105,6 +105,16 @@ def root_multiplicity(c, r, field):
     return mult
 
 
+def fixed_root_multiplicities(c, field):
+    return [root_multiplicity(c, r, field) for r in (field.one, field.neg(field.one))]
+
+
+def parity_by_multiplicities(c, field):
+    """The parity of an input that parity_component accepts, by its
+    definition: ``+`` when the roots 1 and -1 both have even multiplicity."""
+    return "+" if all(m % 2 == 0 for m in fixed_root_multiplicities(c, field)) else "-"
+
+
 def _random_point(fan, field, rng, all_b_nonzero=False):
     k = fan.rank
     while True:
@@ -567,19 +577,6 @@ class TestParity:
         with pytest.raises(ValueError):
             parity_component([1, 2, 3], QQ)
 
-    @staticmethod
-    def _spy_multiplicities(monkeypatch):
-        seen = []
-        kernel = chains._root_multiplicity
-        monkeypatch.setattr(
-            chains, "_root_multiplicity", lambda *args: seen.append(kernel(*args)) or seen[-1]
-        )
-        return seen
-
-    @staticmethod
-    def _oracle(c, field):
-        return [root_multiplicity(c, r, field) for r in (field.one, field.neg(field.one))]
-
     @pytest.mark.parametrize("scale, factors, want, mults", [
         # (1/2)(t^2 - 1)^2
         (Fraction(1, 2), [[-1, 0, 1]] * 2, "+", [2, 2]),
@@ -590,26 +587,25 @@ class TestParity:
         # (7/12)(t^2 - 1)^3 (t + 1)^2 (t^2 - t/2 + 1)
         (Fraction(7, 12), [[-1, 0, 1]] * 3 + [[1, 2, 1], [1, Fraction(-1, 2), 1]], "-", [3, 5]),
     ])
-    def test_rational_coefficients(self, monkeypatch, scale, factors, want, mults):
+    def test_rational_coefficients(self, scale, factors, want, mults):
         c = [scale]
         for factor in factors:
             c = poly_mul(c, [QQ.of(x) for x in factor], QQ)
-        seen = self._spy_multiplicities(monkeypatch)
-        assert parity_component(c, QQ) == want
-        assert seen == self._oracle(c, QQ) == mults
+        assert parity_component(c, QQ) == parity_by_multiplicities(c, QQ) == want
+        assert fixed_root_multiplicities(c, QQ) == mults
 
     def test_numerators_alone_miscount(self):
-        # The cases above need the common denominator: (1/2)(t^2 - 1)^2 read
-        # by its numerators is t^4 - t^2 + 1, which vanishes at neither 1 nor -1.
+        # The oracle counts over Q itself: (1/2)(t^2 - 1)^2 read by its
+        # numerators is t^4 - t^2 + 1, which vanishes at neither 1 nor -1.
         c = poly_mul([QQ.of(Fraction(1, 2))], poly_mul([-1, 0, 1], [-1, 0, 1], QQ), QQ)
-        assert [_root_multiplicity([x.numerator for x in c], r, 0) for r in (1, -1)] == [0, 0]
-        assert self._oracle(c, QQ) == [2, 2]
+        assert fixed_root_multiplicities([QQ.of(x.numerator) for x in c], QQ) == [0, 0]
+        assert fixed_root_multiplicities(c, QQ) == [2, 2]
 
-    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), F101], ids=lambda f: f.name)
-    def test_seeded_symmetric_products_match_the_oracle(self, monkeypatch, field):
+    @staticmethod
+    def _seeded_symmetric_products(field):
+        """Palindromes times (t - 1)^2k (t + 1)^2l, half of them times the
+        anti-palindrome t^2 - 1; over Q scaled by integers and rationals."""
         rng = random.Random(field.name)
-        seen = self._spy_multiplicities(monkeypatch)
-        tags = set()
         for _ in range(150):
             half = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 4)]
             c = [field.of(x) for x in half + half[-2::-1]]
@@ -620,15 +616,23 @@ class TestParity:
             if field == QQ:
                 scale = Fraction(rng.choice([1, -3, 10**25 + 7]), rng.choice([1, 2, 9, 10**18 + 9]))
                 c = [x * scale for x in c]
-            if len(c) < 3 or field.is_zero(c[0]):
-                continue
-            seen.clear()
+            if len(c) >= 3 and not field.is_zero(c[0]):
+                yield c
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), F101], ids=lambda f: f.name)
+    def test_seeded_symmetric_products_match_the_oracle(self, field):
+        tags = set()
+        for c in self._seeded_symmetric_products(field):
             tag = parity_component(c, field)
-            mults = self._oracle(c, field)
-            assert seen == mults, (field, c)
-            assert tag == ("+" if mults[0] % 2 == 0 and mults[1] % 2 == 0 else "-")
+            assert tag == parity_by_multiplicities(c, field), (field, c)
             tags.add(tag)
         assert tags == {"+", "-"}
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), F101], ids=lambda f: f.name)
+    def test_a_constant_parity_fails_the_oracle(self, field):
+        # negative control: "+" for every accepted input is refuted
+        cases = list(self._seeded_symmetric_products(field))
+        assert any(parity_by_multiplicities(c, field) != "+" for c in cases)
 
     def test_involutive_chain_model(self):
         coeffs = poly_from_roots([F11.of(r) for r in (2, 6, 3, 4)], F11)
@@ -860,10 +864,10 @@ class TestRootKernel:
             repeated = len(poly_gcd(c, poly_derivative(c, field), field)) > 1
             assert fiber_profile_of_chain(chain).is_ramified == repeated, (p, c)
 
-    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 101, 2**31 - 1])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 2**31 - 1])
     def test_root_multiplicity_matches_the_field_generic_oracle(self, p):
-        # (t - 1)^a (t + 1)^b times a random cofactor, over Z for p = 0
-        field, rng = (GF(p) if p else QQ), random.Random(p)
+        # (t - 1)^a (t + 1)^b times a random cofactor
+        field, rng = GF(p), random.Random(p)
         for _ in range(120):
             a, b = rng.randint(0, 4), rng.randint(0, 4)
             c = [field.of(rng.randint(-9, 9)) for _ in range(rng.randint(0, 3))]

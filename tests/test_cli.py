@@ -683,12 +683,15 @@ POINT_MODULES = FAN_MODULES | {"fields", "orbit_points"}
 POLYTOPE_MODULES = FAN_MODULES | {"losev_manin"}
 
 _LOADED = (
-    "import contextlib, io, sys\n"
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import contextlib, io\n"
     "import toricchains.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    status = toricchains.cli.main(sys.argv[1:])\n"
     "print(status)\n"
     "print(' '.join(sorted(m for m in sys.modules if m.startswith('toricchains.'))))\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
 )
 
 
@@ -705,9 +708,11 @@ _LOADED = (
     ids=["fan", "point", "chain", "polytope", "verify"],
 )
 def test_a_cold_command_loads_only_the_modules_it_runs(command, modules):
-    status, loaded = run_python(_LOADED, *command.split())
+    status, loaded, added = run_python(_LOADED, *command.split())
     assert status == "0"
     assert set(loaded.split()) == {"toricchains.cli"} | {f"toricchains.{m}" for m in modules}
+    # the value types are slotted classes: no cold command pays for dataclasses
+    assert "dataclasses" not in added.split()
 
 
 def test_importing_the_package_loads_no_submodule():
